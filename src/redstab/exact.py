@@ -8,7 +8,7 @@ back to numpy with explicit tolerances.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -50,9 +50,7 @@ def bareiss_det(rows):
     m = []
     for row in rows:
         fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in fr))
         scale *= den
         m.append([int(x * den) for x in fr])
     sign = 1
@@ -72,12 +70,6 @@ def bareiss_det(rows):
             m[i][k] = 0
         prev = m[k][k]
     return Fraction(sign * m[n - 1][n - 1], 1) / scale
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def det(rows):
@@ -160,10 +152,6 @@ def inv(rows):
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def leading_principal_minors(gram):

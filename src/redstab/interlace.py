@@ -372,7 +372,7 @@ def is_interlaced(f: Polynomial, g: Polynomial) -> bool:
     """
     if f.ambient != g.ambient:
         raise ValueError("ambient mismatch")
-    if _proportional(f.coeffs, g.coeffs):
+    if proportional(f.coeffs, g.coeffs):
         raise DegenerateInput("linearly dependent polynomials")
     try:
         rf, rg = f.roots(), g.roots()
@@ -395,12 +395,17 @@ def left_interlaced(f: Polynomial, g: Polynomial) -> bool:
     return g(rf.entries[-1]) < 0
 
 
-def _proportional(a, b):
-    for x, y in zip(a, b):
-        for u, v in zip(a, b):
-            if x * v != y * u:
-                return False
-    return True
+def proportional(a, b) -> bool:
+    """Linear dependence of two vectors; two zero vectors are dependent.
+
+    With k the first index where (a_k, b_k) != (0, 0), the vectors are
+    dependent exactly when a_i * b_k == b_i * a_k for every i.
+    """
+    pivot = next(((x, y) for x, y in zip(a, b) if x != 0 or y != 0), None)
+    if pivot is None:
+        return True
+    ak, bk = pivot
+    return all(x * bk == y * ak for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -419,7 +424,7 @@ class Pencil:
     def __post_init__(self):
         if self.gen_a.ambient != self.gen_b.ambient:
             raise ValueError("generators with different ambient")
-        if _proportional(self.gen_a.coeffs, self.gen_b.coeffs):
+        if proportional(self.gen_a.coeffs, self.gen_b.coeffs):
             raise DegenerateInput("generators are linearly dependent")
         if self.strict and not is_interlaced(self.gen_a, self.gen_b):
             raise DegenerateInput("generators do not interlace")

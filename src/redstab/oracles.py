@@ -3,7 +3,9 @@
 These deliberately avoid the production code paths they are used to check:
 the pencil oracle works on raw coefficient sequences with numpy eigenvalues,
 exact Sylvester resultants, and Sturm real-root counts; the kernel-sign scan
-only evaluates charges on a corner family with sign-change bisection.
+only evaluates charges on a corner family with sign-change bisection; the
+pointwise support check evaluates Q(gamma(t)) at every grid point and pairs
+member by member with the scalar loop, extracting roots on every call.
 """
 
 import math
@@ -11,9 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charge import eval_charge, reduced_charge
-from .exact import bareiss_det
-from .interlace import PLUS_INFINITY, RootTuple
+from .charge import eval_charge, gamma, reduced_charge
+from .errors import ComplexRoots, NotDistinctRoots
+from .exact import all_exact, bareiss_det, is_negative_definite
+from .interlace import PLUS_INFINITY, RootTuple, pencil_canonical
+from .quadform import SupportReport, kernel_of_line
 
 ORACLE_SAMPLES = 256
 
@@ -279,3 +283,99 @@ def sign_scan_oracle(t: RootTuple, v, eps_grid=None, bisect_steps: int = 80):
     mid = (lo + hi) / 2
     s = [a + mid * (b - a) for a, b in zip(sa, sb)]
     return (True, s)
+
+
+# ---------------------------------------------------------------------------
+# pointwise support-form check
+
+
+def verify_support_pointwise(Q, l, samples: int = 50, margin: float = 0.0,
+                             vanish_tol: float = 1e-8, grid: int = 100) -> SupportReport:
+    """The support check of quadform.verify_support, one point and one pair at a time.
+
+    Evaluates Q(gamma(t)) at every grid point and +inf, pairs the roots of
+    every sampled member with the scalar QuadraticForm.pair_float_with_scale
+    (exact fallback under the same cancellation rule) and extracts the
+    member roots afresh.  The report must equal the production one field
+    by field, failure records included; only a pairing whose float value is
+    not finite differs, which production recomputes exactly.
+    """
+    n = l.ambient
+    failures = []
+
+    exact = Q.is_exact()
+    max_resid = 0.0
+    ok_a = True
+    ts = [Fraction(k - grid // 2, 3) for k in range(grid)] + [PLUS_INFINITY]
+    for t in ts:
+        g = gamma(t if exact else float(t) if t != PLUS_INFINITY else t, n)
+        val = Q(g)
+        if exact and all_exact(g):
+            if val != 0:
+                ok_a = False
+                failures.append(("vanishing", t, val))
+        else:
+            scale = sum(abs(float(Q.gram[i][j])) * abs(float(g[i])) * abs(float(g[j]))
+                        for i in range(n + 1) for j in range(n + 1))
+            resid = abs(float(val)) / max(scale, 1.0)
+            max_resid = max(max_resid, resid)
+            if resid > vanish_tol:
+                ok_a = False
+                failures.append(("vanishing", t, val))
+
+    kernel = kernel_of_line(l)
+    restricted = [[Q.pair(u, v) for v in kernel] for u in kernel]
+    ok_b = is_negative_definite(restricted)
+    if not ok_b:
+        failures.append(("kernel", restricted))
+
+    gen_roots = [abs(float(x)) for x in l.gen_a.roots().finite] + \
+                [abs(float(x)) for x in l.gen_b.roots().finite]
+    root_cap = 1e7 * (1.0 + max(gen_roots, default=1.0))
+    ok_c = True
+    for k in range(samples):
+        theta = math.pi * (k + 0.5) / samples
+        member = l.member(math.cos(theta), math.sin(theta))
+        try:
+            roots = member.roots()
+        except (ComplexRoots, NotDistinctRoots):
+            ok_c = False
+            failures.append(("pairing-roots", theta))
+            continue
+        if roots.has_infinity:
+            continue
+        if max(abs(float(x)) for x in roots.finite) > root_cap:
+            continue
+        gam = [gamma(t, n) for t in roots]
+        bad = _alternating_pairing_failures(Q, gam, margin)
+        if bad:
+            ok_c = False
+            failures.extend(("pairing", theta) + b for b in bad)
+    drop_roots = pencil_canonical(l).roots().finite
+    gam = [gamma(t, n) for t in drop_roots]
+    einf = gamma(PLUS_INFINITY, n)
+    for i, g in enumerate(gam):
+        val, abssum = Q.pair_float_with_scale(g, einf)
+        if abs(val) <= max(margin, 1e-9) * abssum:
+            val = Q.pair_exact(g, einf)
+        signed = val if (i + 1 + n) % 2 == 0 else -val
+        if not signed > 0:
+            ok_c = False
+            failures.append(("pairing-inf", i + 1, n, float(val)))
+    return SupportReport(ok_a, ok_b, ok_c, max_resid, failures)
+
+
+def _alternating_pairing_failures(Q, gam, margin):
+    """Indices (i, j, value) where (-1)^(i+j) P(gamma_i, gamma_j) fails > 0."""
+    n = len(gam)
+    sig = max(margin, 1e-9)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            val, abssum = Q.pair_float_with_scale(gam[i], gam[j])
+            if abs(val) <= sig * abssum:
+                val = Q.pair_exact(gam[i], gam[j])
+            signed = val if (i + j) % 2 == 0 else -val
+            if not signed > 0:
+                out.append((i + 1, j + 1, float(val)))
+    return out

@@ -6,6 +6,14 @@ on sign-coherent kernel vectors, and is seminegative on the line's common
 kernel.  The inductive form adds a large multiple of the line form to the
 (embedded) form of the projected line, tightening seminegative to negative
 definite; the weight is found by doubling and certified by re-verification.
+The doubling ladder reuses the line's data (kernel basis, member roots and
+their gamma vectors, degree-drop member) on every rung of a level, and
+pairs all sampled members in one batch.
+
+Vanishing of an exact form on the twisted curve is proved on the whole
+curve, +inf included, by the coefficient identity: Q(gamma(t)) is the
+polynomial sum_m c_m t^m with c_m = sum over i+j=m of G_ij / (i! j!), and
+its top coefficient c_2n = G_nn / (n!)^2 is the value at +inf.
 
 Gram matrices store the standard polarization P(u,v) (so Q(u+v) = Q(u) +
 2 P(u,v) + Q(v)); sign conclusions are invariant under the factor-2
@@ -22,7 +30,9 @@ from .charge import CentralCharge, ReducedCharge, charge_of_poly, gamma
 from .errors import (
     AlphaSearchFailed,
     AssumptionViolated,
+    ComplexRoots,
     InvalidAmbient,
+    NotDistinctRoots,
     SingularForm,
     WrongSignature,
 )
@@ -34,7 +44,14 @@ from .exact import (
     mat_mul,
     nullspace,
 )
-from .interlace import PLUS_INFINITY, Pencil, pencil_canonical, pencil_project
+from .interlace import (
+    PLUS_INFINITY,
+    Pencil,
+    Polynomial,
+    pencil_canonical,
+    pencil_project,
+    poly_eval,
+)
 
 ALPHA_CAP = 2 ** 60
 SUPPORT_MARGIN = 1e-8
@@ -173,6 +190,18 @@ def kernel_of_line(l: Pencil):
     return nullspace([list(B1.weights), list(B2.weights)])
 
 
+def _restricted_gram(Q: QuadraticForm, basis):
+    """Exact Gram matrix [[Q.pair(u, v)]] of Q on the span of an exact basis.
+
+    Kernel bases from ``nullspace`` are mostly zeros, so zero terms are
+    skipped; the values are Q.pair's.
+    """
+    images = [[sum((g * x for g, x in zip(row, v) if g and x), Fraction(0))
+               for row in Q.gram] for v in basis]
+    return [[sum((x * y for x, y in zip(u, w) if x and y), Fraction(0))
+             for w in images] for u in basis]
+
+
 @dataclass
 class SupportReport:
     vanishing_ok: bool
@@ -186,113 +215,197 @@ class SupportReport:
         return self.vanishing_ok and self.kernel_negative_ok and self.pairing_ok
 
 
+@dataclass
+class _LineData:
+    """What the support check needs of a line, none of it depending on the form.
+
+    ``members`` lists the sampled members in sampling order as (theta,
+    gammas); gammas is None when the member's roots could not be certified.
+    ``stack`` holds the gammas of the certified members as one float array
+    of shape (members, n, n + 1).
+    """
+
+    ambient: int
+    kernel: list
+    members: list
+    stack: np.ndarray
+    drop_gammas: list
+    einf: tuple
+
+
+def _line_data(l: Pencil, samples: int) -> _LineData:
+    n = l.ambient
+    gen_roots = [abs(float(x)) for x in l.gen_a.roots().finite] + \
+                [abs(float(x)) for x in l.gen_b.roots().finite]
+    root_cap = 1e7 * (1.0 + max(gen_roots, default=1.0))
+    # Pencil.member's coefficients: a Fraction times a float is the float
+    # product, so the generators are converted to float once per line
+    pairs = [(float(a), float(b)) for a, b in zip(l.gen_a.coeffs, l.gen_b.coeffs)]
+    members = []
+    for k in range(samples):
+        theta = math.pi * (k + 0.5) / samples
+        c, s = math.cos(theta), math.sin(theta)
+        member = Polynomial(tuple(c * a + s * b for a, b in pairs), n)
+        try:
+            roots = member.roots()
+        except (ComplexRoots, NotDistinctRoots):
+            members.append((theta, None))
+            continue
+        if roots.has_infinity:
+            continue
+        if max(abs(float(x)) for x in roots.finite) > root_cap:
+            # member within float noise of the degree-drop point; the
+            # degree-drop member's pairings against gamma(+inf) cover it
+            continue
+        members.append((theta, [gamma(t, n) for t in roots]))
+    rooted = [gam for _, gam in members if gam is not None]
+    stack = np.array(rooted, dtype=float).reshape(len(rooted), n, n + 1)
+    drop_gammas = [gamma(t, n) for t in pencil_canonical(l).roots().finite]
+    return _LineData(n, kernel_of_line(l), members, stack, drop_gammas,
+                     gamma(PLUS_INFINITY, n))
+
+
 def verify_support(Q: QuadraticForm, l: Pencil, samples: int = 50,
                    margin: float = 0.0, vanish_tol: float = 1e-8,
                    grid: int = 100) -> SupportReport:
     """Three-part support check of a form against a line.
 
-    (a) vanishing on the twisted curve at a parameter grid including +inf;
+    (a) vanishing on the twisted curve.  For an exact form this is proved on
+        the whole curve, +inf included: t -> Q(gamma(t)) is the polynomial
+        with coefficients c_m = sum over i+j=m of G_ij / (i! j!), and
+        c_2n = G_nn / (n!)^2 is the value at +inf, so all c_m = 0 is the
+        identity.  Otherwise each point of the parameter grid and +inf whose
+        value is not zero is reported.  A float form is checked on the grid
+        by its residual relative to the absolute-term sum;
     (b) strict negative definiteness on the exact common kernel of the line;
     (c) alternating-sign positivity of the pairings gamma(t_i), gamma(t_j)
-        over sampled members of the line.
+        over sampled members of the line, batched over all members.
     """
-    n = l.ambient
-    failures = []
+    if Q.dim != l.ambient + 1:
+        raise ValueError("vector length mismatch")
+    return _check_support(Q, _line_data(l, samples), margin, vanish_tol, grid)
 
-    exact = Q.is_exact()
-    max_resid = 0.0
-    ok_a = True
-    ts = [Fraction(k - grid // 2, 3) for k in range(grid)] + [PLUS_INFINITY]
-    for t in ts:
-        g = gamma(t if exact else float(t) if t != PLUS_INFINITY else t, n)
-        val = Q(g)
-        if exact and all_exact(g):
-            if val != 0:
-                ok_a = False
-                failures.append(("vanishing", t, val))
-        else:
-            scale = sum(abs(float(Q.gram[i][j])) * abs(float(g[i])) * abs(float(g[j]))
-                        for i in range(n + 1) for j in range(n + 1))
-            resid = abs(float(val)) / max(scale, 1.0)
-            max_resid = max(max_resid, resid)
-            if resid > vanish_tol:
-                ok_a = False
-                failures.append(("vanishing", t, val))
 
-    kernel = kernel_of_line(l)
-    restricted = [[Q.pair(u, v) for v in kernel] for u in kernel]
+def _check_support(Q, data, margin, vanish_tol=1e-8, grid=100):
+    n = data.ambient
+    ts = [Fraction(k - grid // 2, 3) for k in range(grid)]
+    if Q.is_exact():
+        max_resid = 0.0
+        failures = _exact_vanishing_failures(Q, ts)
+    else:
+        max_resid, failures = _float_vanishing_failures(Q, n, ts, vanish_tol)
+    ok_a = not failures
+
+    restricted = _restricted_gram(Q, data.kernel)
     ok_b = is_negative_definite(restricted)
     if not ok_b:
         failures.append(("kernel", restricted))
 
-    gen_roots = [abs(float(x)) for x in l.gen_a.roots().finite] + \
-                [abs(float(x)) for x in l.gen_b.roots().finite]
-    root_cap = 1e7 * (1.0 + max(gen_roots, default=1.0))
-    ok_c = True
-    for k in range(samples):
-        theta = math.pi * (k + 0.5) / samples
-        member = l.member(math.cos(theta), math.sin(theta))
-        try:
-            roots = member.roots()
-        except Exception:
-            ok_c = False
-            failures.append(("pairing-roots", theta))
-            continue
-        if roots.has_infinity:
-            continue
-        if max(abs(float(x)) for x in roots.finite) > root_cap:
-            # member within float noise of the degree-drop point; the +inf
-            # member's own pairing conditions below cover this neighborhood
-            continue
-        gam = [gamma(t, n) for t in roots]
-        bad = _alternating_pairing_failures(Q, gam, margin)
-        if bad:
-            ok_c = False
-            failures.extend(("pairing", theta) + b for b in bad)
+    bad = _member_pairing_failures(Q, data, margin)
     # degree-drop member (r_1, ..., r_(n-1), +inf): only the pairs against
     # gamma(+inf) are strict at this level (the finite pairs are the projected
     # line's conditions, verified one ambient lower)
-    drop_roots = pencil_canonical(l).roots().finite
-    gam = [gamma(t, n) for t in drop_roots]
-    einf = gamma(PLUS_INFINITY, n)
-    for i, g in enumerate(gam):
-        val, abssum = Q.pair_float_with_scale(g, einf)
+    for i, g in enumerate(data.drop_gammas):
+        val, abssum = Q.pair_float_with_scale(g, data.einf)
         if abs(val) <= max(margin, 1e-9) * abssum:
-            val = Q.pair_exact(g, einf)
+            val = Q.pair_exact(g, data.einf)
         signed = val if (i + 1 + n) % 2 == 0 else -val
         if not signed > 0:
-            ok_c = False
-            failures.append(("pairing-inf", i + 1, n, float(val)))
-    return SupportReport(ok_a, ok_b, ok_c, max_resid, failures)
+            bad.append(("pairing-inf", i + 1, n, float(val)))
+    failures.extend(bad)
+    return SupportReport(ok_a, ok_b, not bad, max_resid, failures)
 
 
-def _alternating_pairing_failures(Q, gam, margin):
-    """Indices (i, j, value) where (-1)^(i+j) P(gamma_i, gamma_j) fails > 0.
+def _exact_vanishing_failures(Q, ts):
+    n = Q.ambient
+    fact = [math.factorial(k) for k in range(n + 1)]
+    coeffs = [Fraction(0)] * (2 * n + 1)
+    for i, row in enumerate(Q.gram):
+        for j, g in enumerate(row):
+            if g:
+                coeffs[i + j] += Fraction(g, fact[i] * fact[j])
+    if not any(coeffs):
+        return []
+    failures = [("vanishing", t, val) for t in ts
+                if (val := poly_eval(coeffs, t)) != 0]
+    val = Q(gamma(PLUS_INFINITY, n))
+    if val != 0:
+        failures.append(("vanishing", PLUS_INFINITY, val))
+    return failures
 
-    Pairings are evaluated in float with a cancellation bound; any value
-    within max(margin, 1e-9) of its absolute-term sum is recomputed exactly,
-    so wildly different magnitudes across the matrix cannot mask a sign.
+
+def _float_vanishing_failures(Q, n, ts, vanish_tol):
+    max_resid = 0.0
+    failures = []
+    for t in ts + [PLUS_INFINITY]:
+        g = gamma(float(t) if t != PLUS_INFINITY else t, n)
+        val = Q(g)
+        scale = sum(abs(float(Q.gram[i][j])) * abs(float(g[i])) * abs(float(g[j]))
+                    for i in range(n + 1) for j in range(n + 1))
+        resid = abs(float(val)) / max(scale, 1.0)
+        max_resid = max(max_resid, resid)
+        if resid > vanish_tol:
+            failures.append(("vanishing", t, val))
+    return max_resid, failures
+
+
+def _member_pairing_failures(Q, data, margin):
+    """Records where (-1)^(i+j) P(gamma_i, gamma_j) fails > 0 on a sampled member.
+
+    All pairings of all members are summed at once, term by term in the
+    order of pair_float_with_scale, so every float value and absolute-term
+    sum is the scalar loop's to the bit.  A value within max(margin, 1e-9)
+    of its absolute-term sum, or not finite, is recomputed exactly, so
+    wildly different magnitudes across the matrix cannot mask a sign.
+    Members whose roots failed certification report ("pairing-roots", theta)
+    in their place in the sampling order.
     """
-    n = len(gam)
-    sig = max(margin, 1e-9)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            val, abssum = Q.pair_float_with_scale(gam[i], gam[j])
-            if abs(val) <= sig * abssum:
-                val = Q.pair_exact(gam[i], gam[j])
-            signed = val if (i + j) % 2 == 0 else -val
-            if not signed > 0:
-                out.append((i + 1, j + 1, float(val)))
-    return out
+    stack = data.stack
+    m = stack.shape[1]
+    total = np.zeros((len(stack), m, m))
+    abssum = np.zeros((len(stack), m, m))
+    for i, row in enumerate(Q.gram):
+        left = stack[:, :, i]
+        for j, g in enumerate(row):
+            if g == 0:
+                continue
+            term = (left * float(g))[:, :, None] * stack[:, None, :, j]
+            total += term
+            abssum += np.abs(term)
+    sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
+    with np.errstate(invalid="ignore"):
+        flagged = ~(np.abs(total) > max(margin, 1e-9) * abssum)
+        wrong = ~(sign * total > 0)
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    rooted = [gam for _, gam in data.members if gam is not None]
+    found = {}
+    for k, a, b in np.argwhere((flagged | wrong) & upper).tolist():
+        if flagged[k, a, b]:
+            val = Q.pair_exact(rooted[k][a], rooted[k][b])
+            if (val if (a + b) % 2 == 0 else -val) > 0:
+                continue
+        else:
+            val = total[k, a, b]
+        found.setdefault(k, []).append((a + 1, b + 1, float(val)))
+    failures = []
+    k = 0
+    for theta, gam in data.members:
+        if gam is None:
+            failures.append(("pairing-roots", theta))
+            continue
+        failures.extend(("pairing", theta) + f for f in found.get(k, ()))
+        k += 1
+    return failures
 
 
 def q_tilde(l: Pencil, samples: int = 50, margin: float = SUPPORT_MARGIN) -> QuadraticForm:
     """Inductive support form: alpha * q_line + embedded form of the projection.
 
     The base ambient 1 returns the zero form.  The weight alpha starts at 1
-    and doubles until verify_support passes; failure to find one below the
-    cap raises AlphaSearchFailed with the failing report.
+    and doubles until the support check of verify_support passes; the line's
+    data (kernel, member roots, degree-drop member) is computed once per
+    level and reused on every rung.  Failure to find a weight below the cap
+    raises AlphaSearchFailed with the failing report.
     """
     n = l.ambient
     if n == 1:
@@ -302,11 +415,12 @@ def q_tilde(l: Pencil, samples: int = 50, margin: float = SUPPORT_MARGIN) -> Qua
     padded_rows.append(tuple(Fraction(0) for _ in range(n + 1)))
     lower_padded = QuadraticForm(tuple(padded_rows))
     line_form = q_line(l)
+    data = _line_data(l, samples)
     alpha = Fraction(1)
     report = None
     while alpha <= ALPHA_CAP:
         candidate = line_form.scaled(alpha).plus(lower_padded)
-        report = verify_support(candidate, l, samples=samples, margin=margin)
+        report = _check_support(candidate, data, margin)
         if report.ok:
             meta = {"construction": "inductive", "alpha": alpha, "ambient": n}
             return QuadraticForm(candidate.gram, meta)
@@ -345,7 +459,7 @@ def in_WQ(Z: CentralCharge, Q: QuadraticForm) -> bool:
     verdict = (qfg * qfg < qff * qgg) and (qff > 0)
     if Q.is_exact() and all_exact(f) and all_exact(g):
         kernel = nullspace([list(f), list(g)])
-        restricted = [[Q.pair(u, v) for v in kernel] for u in kernel]
+        restricted = _restricted_gram(Q, kernel)
         direct = is_negative_definite(restricted) and len(kernel) == rho - 2
         assert direct == verdict, "dual criterion disagrees with kernel definiteness"
     return verdict
@@ -402,7 +516,7 @@ def deform_form(h, f1, f2, Q: QuadraticForm, d, N,
         raise AssumptionViolated("h, f1, f2 must be linearly independent")
 
     ker = nullspace([list(h), list(f1)])
-    restricted = [[Q.pair(u, v) for v in ker] for u in ker]
+    restricted = _restricted_gram(Q, ker)
     if not is_negative_definite(restricted):
         raise AssumptionViolated("Q must be negative definite on Ker h /\\ Ker f1")
 

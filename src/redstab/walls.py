@@ -16,7 +16,7 @@ from fractions import Fraction
 from .charge import eval_charge, reduced_charge
 from .errors import AmbientMismatch, DependentCharacters
 from .exact import all_exact, nullspace, solve
-from .interlace import Polynomial, RootTuple
+from .interlace import Polynomial, RootTuple, proportional
 
 GRID_DEFAULT = 400
 NEWTON_TOL = 1e-12
@@ -240,7 +240,7 @@ def numerical_wall(v, w, region, grid: int = GRID_DEFAULT) -> WallLocus:
     if len(v) != len(w):
         raise AmbientMismatch("characters of different ambient")
     n = len(v) - 1
-    if _dependent(v, w):
+    if proportional(v, w):
         raise DependentCharacters("characters are linearly dependent")
     row_v, rhs_v = _charge_e_row(v, n)
     row_w, rhs_w = _charge_e_row(w, n)
@@ -280,14 +280,6 @@ def numerical_wall(v, w, region, grid: int = GRID_DEFAULT) -> WallLocus:
         codimension=2,
         meta={"tuples": tuples},
     )
-
-
-def _dependent(v, w):
-    for i in range(len(v)):
-        for j in range(len(v)):
-            if v[i] * w[j] != v[j] * w[i]:
-                return False
-    return True
 
 
 def _particular(rows, rhs, width):

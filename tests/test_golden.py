@@ -1,0 +1,25 @@
+"""Byte comparison against golden files under ``tests/golden/``.
+
+The files are regenerated only by the scripts next to them; these tests read.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, GOLDEN / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_q_tilde_alpha_and_gram():
+    make = _script("make_q_tilde")
+    stored = make.PATH.read_text()
+    lines = json.loads(stored)["lines"]
+    assert len(lines) == 12 and {e["n"] for e in lines} == {2, 3, 4, 5}
+    assert make.render([make.entry(e["s"], e["t"]) for e in lines]) == stored

@@ -24,6 +24,7 @@ from redstab.interlace import (
     pencil_project,
     poly_mul,
     poly_to_roots,
+    proportional,
     roots_to_poly,
     sep,
     sep_pencil,
@@ -119,6 +120,31 @@ class TestInterlaced:
         f = roots_to_poly(RT(0, 2))
         g = roots_to_poly(RT(1, PLUS_INFINITY), 2).scaled(-1)
         assert left_interlaced(f, g)  # leading coefficient of g is negative
+
+
+class TestProportional:
+    def test_zero_vectors(self):
+        assert proportional((0, 0, 0), (0, 0, 0))
+        assert proportional((0, 0, 0), (F(1), F(-2), F(3)))
+        assert proportional((F(1), F(-2), F(3)), (0, 0, 0))
+
+    def test_sign_flips(self):
+        assert proportional((F(1), F(-2), F(3)), (F(-2), F(4), F(-6)))
+        assert not proportional((F(1), F(-2), F(3)), (F(1), F(2), F(3)))
+        assert not proportional((F(1), F(2)), (F(-1), F(2)))
+
+    def test_zero_pivot_column(self):
+        # the pivot is the first index where either vector is nonzero
+        assert proportional((0, F(1), F(2)), (0, F(3), F(6)))
+        assert not proportional((0, F(1), F(2)), (0, F(3), F(7)))
+        assert proportional((0, 0, F(5)), (0, 0, F(-1, 2)))
+        assert not proportional((0, F(1), 0), (0, 0, F(1)))
+        assert not proportional((0, 0, F(1)), (0, F(1), F(1)))
+
+    def test_pencil_rejects_dependent_generators(self):
+        f = roots_to_poly(RT(0, 2))
+        with pytest.raises(DegenerateInput):
+            Pencil(f, f.scaled(F(-3, 2)))
 
 
 class TestSep:

@@ -1,13 +1,29 @@
 from fractions import Fraction as F
 
 from redstab.charge import eval_charge, gamma, reduced_charge
-from redstab.interlace import PLUS_INFINITY, RootTuple
+from redstab.interlace import (
+    PLUS_INFINITY,
+    Pencil,
+    Polynomial,
+    RootTuple,
+    pencil_project,
+    roots_to_poly,
+)
 from redstab.oracles import (
     oracle_interlaced,
     pencil_discriminant_real_roots,
     sign_scan_oracle,
     sturm_count_real,
     sylvester_resultant,
+    verify_support_pointwise,
+)
+from redstab.quadform import (
+    SUPPORT_MARGIN,
+    QuadraticForm,
+    q_line,
+    q_tilde,
+    verify_support,
+    zero_form,
 )
 
 
@@ -76,3 +92,83 @@ class TestSignScan:
         assert not sign_scan_oracle(t, coh)[0]
         mixed = tuple(-cols[0][r] + cols[2][r] for r in range(4))
         assert sign_scan_oracle(t, mixed)[0]
+
+
+class TestSupportOracle:
+    """The batched support check against the pointwise oracle, rung by rung."""
+
+    LINES = ((("-23/4", "-27/8"), ("-17/4", "-5/2")),
+             (("-21/4", "-55/16", "-45/16"), ("-4", "-13/4", "-11/4")),
+             (("-5", "-119/32", "-29/16", "-7/8"), ("-19/4", "-2", "-3/2", "-1/4")),
+             (("-13/2", "-143/32", "-51/16", "-5/16", "-1/32"),
+              ("-21/4", "-4", "-3/4", "-1/4", "3/2")))
+
+    @staticmethod
+    def _rungs(line, out):
+        """Append every candidate of q_tilde's alpha ladder on every level."""
+        n = line.ambient
+        if n == 1:
+            return zero_form(2)
+        lower = TestSupportOracle._rungs(pencil_project(line), out)
+        rows = [tuple(r) + (F(0),) for r in lower.gram] + [tuple(F(0) for _ in range(n + 1))]
+        padded = QuadraticForm(tuple(rows))
+        final = q_tilde(line)
+        alpha = F(1)
+        while alpha <= final.meta["alpha"]:
+            candidate = q_line(line).scaled(alpha).plus(padded)
+            out.append((candidate, line))
+            alpha *= 2
+        assert candidate.gram == final.gram
+        return final
+
+    @staticmethod
+    def _assert_same(Q, line, **kw):
+        prod = verify_support(Q, line, **kw)
+        oracle = verify_support_pointwise(Q, line, **kw)
+        assert prod == oracle
+        assert str(prod.failures) == str(oracle.failures)
+        return prod
+
+    def test_every_ladder_rung(self):
+        rungs = []
+        for s, t in self.LINES:
+            self._rungs(Pencil.from_tuples(RootTuple(tuple(map(F, s))),
+                                           RootTuple(tuple(map(F, t)))), rungs)
+        reports = [self._assert_same(Q, line, samples=50, margin=SUPPORT_MARGIN)
+                   for Q, line in rungs]
+        assert {line.ambient for _, line in rungs} == {2, 3, 4, 5}
+        assert any(not r.pairing_ok for r in reports)
+        assert any(not r.kernel_negative_ok for r in reports)
+        # a wide margin sends most pairings to the exact fallback
+        failing = [(Q, line) for (Q, line), r in zip(rungs, reports) if not r.pairing_ok]
+        for Q, line in failing[:3]:
+            self._assert_same(Q, line, samples=50, margin=0.5)
+
+    def test_failing_forms(self):
+        threefold = Pencil.from_tuples(RootTuple((F(0), F(2), F(4))),
+                                       RootTuple((F(1), F(3), F(5))))
+        neg = QuadraticForm(tuple(tuple(F(-int(i == j)) for j in range(4)) for i in range(4)))
+        rep = self._assert_same(neg, threefold)
+        assert not rep.vanishing_ok and not rep.pairing_ok
+        surface = Pencil(roots_to_poly(RootTuple((F(0), F(2)))),
+                         roots_to_poly(RootTuple((F(1), PLUS_INFINITY)), 2))
+        corrupted = QuadraticForm(((F(0), F(0), F(-1)), (F(0), F(2), F(0)),
+                                   (F(-1), F(0), F(0))))
+        rep = self._assert_same(corrupted, surface)
+        assert not rep.vanishing_ok and not rep.kernel_negative_ok
+        formal = Pencil(Polynomial((F(-1), F(0), F(1)), 2),
+                        Polynomial((F(-3), F(1), F(0)), 2), strict=False)
+        rep = self._assert_same(corrupted, formal)
+        assert any(f[0] == "pairing-roots" for f in rep.failures)
+
+    def test_float_form(self):
+        line = Pencil.from_tuples(RootTuple((F(0), F(2), F(4))),
+                                  RootTuple((F(1), F(3), F(5))))
+        gram = q_tilde(line).gram
+        near = QuadraticForm(tuple(tuple(float(x) for x in row) for row in gram))
+        assert self._assert_same(near, line).ok
+        skewed = QuadraticForm(tuple(tuple(float(x) * (1.0001 if i == j else 1.0)
+                                           for j, x in enumerate(row))
+                                     for i, row in enumerate(gram)))
+        rep = self._assert_same(skewed, line)
+        assert not rep.vanishing_ok and rep.max_vanishing_residual > 1e-8

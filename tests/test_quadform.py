@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from redstab.charge import CentralCharge, ReducedCharge, eval_charge, gamma, reduced_charge
 from redstab.errors import AssumptionViolated, SingularForm, WrongSignature
 from redstab.exact import nullspace
-from redstab.interlace import PLUS_INFINITY, Pencil, RootTuple, roots_to_poly
+from redstab.interlace import PLUS_INFINITY, Pencil, Polynomial, RootTuple, roots_to_poly
 from redstab.quadform import (
     QuadraticForm,
     deform_form,
@@ -190,6 +191,25 @@ class TestQTilde:
             t = RT(*[F(2 * k + 1) for k in range(n)])
             Q = q_tilde(Pencil.from_tuples(s, t))
             assert Q.inertia() == (2, n - 1, 0)
+
+
+class TestVerifySupport:
+    def test_complex_members_report_pairing_roots(self):
+        # x^2 - 1 and x - 3 do not interlace: members such as
+        # cos(0.6 pi)(x^2 - 1) + sin(0.6 pi)(x - 3) have complex roots
+        line = Pencil(Polynomial((F(-1), F(0), F(1)), 2),
+                      Polynomial((F(-3), F(1), F(0)), 2), strict=False)
+        rep = verify_support(DELTA2, line)
+        roots_failures = [f for f in rep.failures if f[0] == "pairing-roots"]
+        assert roots_failures and not rep.pairing_ok
+        assert all(len(f) == 2 and 0 < f[1] < math.pi for f in roots_failures)
+
+    def test_form_of_other_ambient_rejected(self):
+        for dim in (2, 4):
+            eye = QuadraticForm(tuple(tuple(F(int(i == j)) for j in range(dim))
+                                      for i in range(dim)))
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                verify_support(eye, surface_line())
 
 
 class TestDualForm:

@@ -91,6 +91,18 @@ class TestNumericalWall:
         with pytest.raises(DependentCharacters):
             numerical_wall((1, 0, -1), (2, 0, -2), None)
 
+    def test_dependent_characters_sign_flip_and_zero_pivot(self):
+        for v, w in (((1, 0, -1), (-3, 0, 3)),
+                     ((0, 2, -1), (0, -4, 2)),
+                     ((0, 0, 0, 1), (0, 0, 0, F(-1, 3)))):
+            with pytest.raises(DependentCharacters):
+                numerical_wall(v, w, None)
+
+    def test_independent_characters_zero_pivot(self):
+        # a shared zero first entry does not make these two dependent
+        loc = numerical_wall((0, 1, 0), (0, 1, 2), region=((-5, 5), (-5, 5)))
+        assert loc.character == (0, 1, 0)
+
     def test_surface_point_clipped_away(self):
         # intersection (p, q) = (0, 2) lies above the parabola: empty
         loc = numerical_wall((1, 0, -1), (0, 1, 0), region=((-5, 5), (-5, 5)))
