@@ -1,8 +1,9 @@
 """Numerical layer of reduced stability conditions on polarized varieties.
 
-Interlaced real-rooted pencils, Vandermonde-determinant central charges,
-support-property quadratic forms, Bogomolov-type discriminants, wall loci,
-and hypersurface-restriction maps on parameter tuples.
+Interlaced real-rooted pencils, central charges (Vandermonde determinants,
+computed from root-polynomial coefficients), support-property quadratic
+forms, Bogomolov-type discriminants, wall loci, and hypersurface-restriction
+maps on parameter tuples.
 """
 
 from .charge import (

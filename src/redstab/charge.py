@@ -4,8 +4,11 @@ The lattice at ambient n is R^(n+1) with coordinates (H^n ch_0, ..., ch_n).
 A parameter tuple t determines the normalized functional B_t as a Vandermonde
 determinant against the twisted vectors gamma_n(t_i); the normalization makes
 the ch_n weight exactly 1 for finite tuples.  On the polynomial side B_t is
-f_t / n! under the coefficient identification a_k x^k <-> k! a_k e*_k, so all
-of the interlacing calculus transfers to charges verbatim.
+f_t / n! under the coefficient identification a_k x^k <-> k! a_k e*_k, where
+f_t is the monic root polynomial (f_t / -(n-1)! when the last entry is +inf),
+so all of the interlacing calculus transfers to charges verbatim.  That
+identity is how reduced_charge computes B_t, exactly on rational tuples and
+to about 1e-15 relative on float tuples; no determinant is evaluated.
 
 Note on the Hilbert-scheme display: with this normalization the identity
 B_t((1,0,0,-m)) = -m - t1*t2*t3/6 holds with constant exactly 1 (the raw
@@ -25,7 +28,7 @@ from .errors import (
     NotDistinctRoots,
     NotInKernel,
 )
-from .exact import all_exact, bareiss_det, det, is_exact, solve
+from .exact import all_exact, is_exact, solve
 from .interlace import (
     PLUS_INFINITY,
     Pencil,
@@ -59,7 +62,6 @@ class ReducedCharge:
     """Linear functional on the ambient-n lattice, stored by dual weights."""
 
     weights: tuple
-    params: tuple | None = None  # optional cache (scale c, RootTuple t)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
@@ -113,57 +115,37 @@ def eval_charge(B: ReducedCharge, v) -> object:
 
 
 def reduced_charge(t) -> ReducedCharge:
-    """The normalized charge of a parameter tuple, via determinant cofactors.
+    """The normalized charge of a parameter tuple, via its root polynomial.
 
     B_t(v) = C_t det(gamma(t_1); ...; gamma(t_n); v), where C_t makes the
-    ch_n weight 1.  Exact rationals when the tuple is rational.  An infinite
-    last entry reduces inductively: B_t(v) = -B_t'(v_0..v_(n-1)).
+    ch_n weight 1.  Expanding the determinant along v gives the monic root
+    polynomial prod (x - t_i) under a_k x^k <-> k! a_k e*_k, divided by n!
+    (by -(n-1)! when the last entry is +inf), so the weights come from the
+    coefficients without any determinant.  Exact rationals when the tuple is
+    rational.  On float tuples the ch_n weight is exactly 1 and, up to
+    n = 8, every weight is within 1e-14 of the exact charge of the same
+    binary values, relative to its largest weight (measured about 1e-15;
+    the cofactor determinants of oracles.reduced_charge_cofactors reach
+    about 1e-9).
     """
     t = t if isinstance(t, RootTuple) else RootTuple(tuple(t))
-    n = t.n
-    if t.has_infinity:
-        if n == 1:
-            return ReducedCharge((-1, 0), params=(1, t))
-        inner = reduced_charge(RootTuple(t.finite))
-        return ReducedCharge(tuple(-w for w in inner.weights) + (0,), params=(1, t))
-    rows = [gamma(ti, n) for ti in t.entries]
-    exact = all(all_exact(row) for row in rows)
-    c_t = _normalizing_constant(t, exact)
-    weights = []
-    for k in range(n + 1):
-        minor = [[row[j] for j in range(n + 1) if j != k] for row in rows]
-        cof = bareiss_det(minor) if exact else det(minor)
-        sign = -1 if (n + k) % 2 else 1
-        weights.append(sign * c_t * cof)
-    return ReducedCharge(tuple(weights), params=(1, t))
-
-
-def _normalizing_constant(t: RootTuple, exact: bool):
-    ent = t.finite
-    n = len(ent)
-    num = 1
-    for k in range(1, n):
-        num *= _factorial(k)
-    denom = Fraction(1) if exact else 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            denom = denom * (ent[j] - ent[i])
-    return (Fraction(num) / denom) if exact else (num / denom)
+    return charge_of_poly(roots_to_poly(t))
 
 
 def charge_of_poly(f: Polynomial) -> ReducedCharge:
     """Charge of a member under a_k x^k <-> k! a_k e*_k, normalized.
 
     Degree n divides by n!; degree n-1 scales by -1/(n-1)! so that the monic
-    root polynomial of any tuple maps exactly onto that tuple's charge.
+    root polynomial of any tuple maps exactly onto that tuple's charge.  The
+    ch_n weight of a degree n-1 member is the integer 0 (never a float -0.0).
     """
     n = f.ambient
-    exact = all_exact(f.coeffs)
-    if f.degree == n:
-        scale = Fraction(1, _factorial(n)) if exact else 1.0 / _factorial(n)
-    else:
-        scale = Fraction(-1, _factorial(n - 1)) if exact else -1.0 / _factorial(n - 1)
-    return ReducedCharge(tuple(scale * _factorial(k) * c for k, c in enumerate(f.coeffs)))
+    top = f.degree
+    scale = Fraction(1, _factorial(top)) if all_exact(f.coeffs) else 1.0 / _factorial(top)
+    if top < n:
+        scale = -scale
+    weights = tuple(scale * _factorial(k) * c for k, c in enumerate(f.coeffs[: top + 1]))
+    return ReducedCharge(weights + (0,) * (n - top))
 
 
 def poly_of_charge(B: ReducedCharge) -> Polynomial:

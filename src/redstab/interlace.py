@@ -243,22 +243,36 @@ def _newton_polish(coeffs_f, dcoeffs_f, x, steps=3):
     return x
 
 
-def _newton_polish_exact(coeffs, x, steps=2):
+def _newton_polish_exact(coeffs, xs, steps=2):
     """Newton steps with exact rational evaluation (no cancellation).
 
     Floating evaluation of an expanded polynomial limits clustered roots to
-    roughly eval_error / |f'|; two exact steps from the eigenvalue estimate
-    recover full double accuracy.  Denominators are capped between steps.
+    roughly eval_error / |f'|; two exact steps from the eigenvalue estimates
+    xs recover full double accuracy.  The rational coefficients are scaled to
+    integers once; at x = p/q a step evaluates F = q^d f(p/q) and
+    D = q^(d-1) f'(p/q) by integer Horner and forms x - f(x)/f'(x) as the
+    single fraction (p D - F) / (q D).  Denominators are capped between steps.
     """
-    dcoeffs = poly_derivative(coeffs)
-    xf = Fraction(x)
-    for _ in range(steps):
-        d = poly_eval(dcoeffs, xf)
-        if d == 0:
-            break
-        xf = xf - poly_eval(coeffs, xf) / d
-        xf = xf.limit_denominator(1 << 80)
-    return float(xf)
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    deg = len(ints) - 1
+    out = []
+    for x in xs:
+        xf = Fraction(x)
+        for _ in range(steps):
+            p, q = xf.numerator, xf.denominator
+            big_f, big_d, qk = ints[deg], deg * ints[deg], 1
+            for k in range(deg - 1, -1, -1):
+                qk *= q
+                big_f = big_f * p + ints[k] * qk
+                if k:
+                    big_d = big_d * p + k * ints[k] * qk
+            if big_d == 0:
+                break
+            xf = Fraction(p * big_d - big_f, q * big_d).limit_denominator(1 << 80)
+        out.append(float(xf))
+    return out
 
 
 def _extract_roots(f: Polynomial) -> RootTuple:
@@ -316,8 +330,7 @@ def _extract_roots(f: Polynomial) -> RootTuple:
     dcoeffs = [k * c for k, c in enumerate(fcoeffs)][1:]
     roots = [_newton_polish(fcoeffs, dcoeffs, float(x)) for x in eig.real]
     if all_exact(coeffs):
-        exact_coeffs = tuple(Fraction(c) for c in coeffs)
-        roots = [_newton_polish_exact(exact_coeffs, x) for x in roots]
+        roots = _newton_polish_exact(coeffs, roots)
     roots.sort()
     return _finish_float_roots(f, roots)
 

@@ -2,7 +2,9 @@
 
 These deliberately avoid the production code paths they are used to check:
 the pencil oracle works on raw coefficient sequences with numpy eigenvalues,
-exact Sylvester resultants, and Sturm real-root counts; the kernel-sign scan
+exact Sylvester resultants, and Sturm real-root counts; the cofactor charge
+expands the defining Vandermonde determinant minor by minor; the Fraction
+Newton polish evaluates by rational power sums; the kernel-sign scan
 only evaluates charges on a corner family with sign-change bisection; the
 pointwise support check evaluates Q(gamma(t)) at every grid point and pairs
 member by member with the scalar loop, extracting roots on every call.
@@ -13,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charge import eval_charge, gamma, reduced_charge
+from .charge import ReducedCharge, eval_charge, gamma, reduced_charge
 from .errors import ComplexRoots, NotDistinctRoots
-from .exact import all_exact, bareiss_det, is_negative_definite
+from .exact import all_exact, bareiss_det, det, is_negative_definite
 from .interlace import PLUS_INFINITY, RootTuple, pencil_canonical
 from .quadform import SupportReport, kernel_of_line
 
@@ -212,6 +214,60 @@ def oracle_interlaced(f_coeffs, g_coeffs, samples: int = ORACLE_SAMPLES) -> bool
         return False
     count, drop_ok = pencil_discriminant_real_roots(f_coeffs, g_coeffs)
     return count == 0 and drop_ok
+
+
+# ---------------------------------------------------------------------------
+# the cofactor charge and the Fraction Newton polish
+
+
+def newton_polish_fraction(coeffs, x, steps=2):
+    """Exact Newton steps on one root estimate in Fraction arithmetic.
+
+    x - f(x)/f'(x) from rational power sums, denominator capped at
+    2^80 after each step; interlace._newton_polish_exact must return the
+    same floats.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    xf = Fraction(x)
+    for _ in range(steps):
+        d = sum(k * c * xf ** (k - 1) for k, c in enumerate(coeffs) if k)
+        if d == 0:
+            break
+        f = sum(c * xf ** k for k, c in enumerate(coeffs))
+        xf = (xf - f / d).limit_denominator(1 << 80)
+    return float(xf)
+
+
+def reduced_charge_cofactors(t) -> ReducedCharge:
+    """The normalized charge of a tuple from its defining determinant.
+
+    B_t(v) = C_t det(gamma(t_1); ...; gamma(t_n); v), expanded along v into
+    n+1 cofactor minors (Bareiss on exact input, exact.det on float input),
+    with C_t = prod_{k<n} k! / prod_{i<j} (t_j - t_i) making the ch_n weight
+    1.  An infinite last entry reduces inductively: B_t(v) = -B_t'(v_0..v_(n-1)).
+    """
+    t = t if isinstance(t, RootTuple) else RootTuple(tuple(t))
+    n = t.n
+    if t.has_infinity:
+        if n == 1:
+            return ReducedCharge((-1, 0))
+        inner = reduced_charge_cofactors(RootTuple(t.finite))
+        return ReducedCharge(tuple(-w for w in inner.weights) + (0,))
+    rows = [gamma(ti, n) for ti in t.entries]
+    exact = all(all_exact(row) for row in rows)
+    num = math.prod(math.factorial(k) for k in range(1, n))
+    denom = Fraction(1) if exact else 1.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            denom = denom * (t[j] - t[i])
+    c_t = Fraction(num) / denom if exact else num / denom
+    weights = []
+    for k in range(n + 1):
+        minor = [[row[j] for j in range(n + 1) if j != k] for row in rows]
+        cof = bareiss_det(minor) if exact else det(minor)
+        sign = -1 if (n + k) % 2 else 1
+        weights.append(sign * c_t * cof)
+    return ReducedCharge(tuple(weights))
 
 
 # ---------------------------------------------------------------------------

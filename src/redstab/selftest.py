@@ -17,8 +17,6 @@ from .charge import (
     ALL_NONNEG,
     ALL_NONPOS,
     MIXED,
-    CentralCharge,
-    charge_of_poly,
     decompose,
     eval_charge,
     gamma,
@@ -33,7 +31,6 @@ from .geometry import (
     ab_twist,
     max_alpha,
     params_from_tuples,
-    threefold_charge,
     threefold_kernel_tuples,
     validity_iff_interlaced,
 )
@@ -44,7 +41,6 @@ from .interlace import (
     RootTuple,
     is_interlaced,
     left_interlaced,
-    poly_mul,
     roots_to_poly,
     sep,
     sep_pencil,
@@ -385,9 +381,6 @@ def criterion_9(tuples=200, validity_draws=1000, near_boundary=100, seed=0, tol=
             alpha=p2.alpha, beta=p2.beta, a=Fraction(1), b=Fraction(0)))
         if tuple(it.entries[:2]) != pair.entries:
             fails.append(("roundtrip2", pair.entries))
-        Z = threefold_charge(p)
-        dec_imag = eval_charge(Z.imag, gamma(t.entries[0], 3))
-        del dec_imag
     agree_fails = 0
     for k in range(validity_draws):
         near = k < near_boundary

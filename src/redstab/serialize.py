@@ -28,23 +28,26 @@ def number_to_str(x) -> str:
 
 
 def number_from_str(s):
+    """A JSON number or numeric string; ValueError for NaN and a zero denominator."""
     if isinstance(s, (int, float)):
-        return s
-    s = s.strip()
-    if s in ("inf", "+inf", "Infinity"):
-        return PLUS_INFINITY
-    try:
-        return Fraction(s)
-    except ValueError:
-        return float(s)
+        x = s
+    else:
+        s = s.strip()
+        if s in ("inf", "+inf", "Infinity"):
+            return PLUS_INFINITY
+        try:
+            x = Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
+        except ValueError:
+            x = float(s)
+    if x != x:
+        raise ValueError(f"NaN is not a number: {s!r}")
+    return x
 
 
 def mode_of(values) -> str:
     return EXACT_MODE if all(is_exact(x) for x in values) else FLOAT_MODE
-
-
-def poly_to_json(f: Polynomial) -> list:
-    return [number_to_str(c) for c in f.coeffs]
 
 
 def poly_from_json(data, ambient=None) -> Polynomial:
@@ -58,10 +61,6 @@ def roots_to_json(t: RootTuple) -> list:
 
 def roots_from_json(data) -> RootTuple:
     return RootTuple(tuple(number_from_str(x) for x in data))
-
-
-def vector_to_json(v) -> list:
-    return [number_to_str(x) for x in v]
 
 
 def vector_from_json(data) -> tuple:

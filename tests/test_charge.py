@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +29,7 @@ from redstab.interlace import (
     roots_to_poly,
     sep_pencil,
 )
+from redstab.oracles import reduced_charge_cofactors
 
 
 def RT(*xs):
@@ -94,10 +96,33 @@ class TestPolyChargeCorrespondence:
         assert charge_of_poly(poly_of_charge(B)).weights == B.weights
 
     def test_determinant_route_equals_coefficient_route(self):
-        # dual routes: Bareiss cofactors vs k! c_k / n! coefficient scaling
-        for entries in ((F(0), F(2)), (F(-2), F(1), F(7, 2)), (F(1), PLUS_INFINITY)):
-            t = RT(*entries)
-            assert reduced_charge(t).weights == charge_of_poly(roots_to_poly(t)).weights
+        # Bareiss cofactors of the defining determinant vs production's
+        # k! c_k / n! scaling of the root polynomial, on rational tuples
+        rng = random.Random(31)
+        for n in range(1, 9):
+            for with_inf in (False, True):
+                for _ in range(6):
+                    fin = set()
+                    while len(fin) < n - with_inf:
+                        fin.add(F(rng.randint(-40, 40), rng.randint(1, 7)))
+                    t = RT(*sorted(fin), *((PLUS_INFINITY,) if with_inf else ()))
+                    B = reduced_charge(t)
+                    assert B.weights == reduced_charge_cofactors(t).weights
+                    assert B.weights[n] == (0 if with_inf else 1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_float_weights_match_exact_charge(self, n):
+        # the charge of float entries is within 1e-14 of the largest weight
+        # of the exact charge of the same (binary) values
+        rng = random.Random(100 + n)
+        for spread in (1, 10):
+            for _ in range(20):
+                xs = sorted(rng.uniform(-spread, spread) for _ in range(n))
+                B = reduced_charge(RT(*xs))
+                exact = reduced_charge(RT(*(F(x) for x in xs))).weights
+                bound = F(1e-14) * max(abs(w) for w in exact)
+                assert max(abs(F(w) - e) for w, e in zip(B.weights, exact)) <= bound
+                assert B.weights[n] == 1.0
 
     def test_infinite_branch(self):
         B = charge_of_poly(roots_to_poly(RT(F(1), PLUS_INFINITY), 2))

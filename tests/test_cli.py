@@ -129,6 +129,14 @@ class TestContract:
             main(["walls", "frobnicate"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("bad", ['"1/0"', '"nan"', "NaN"])
+    def test_bad_number_is_one_error_document(self, bad):
+        # a zero denominator or NaN, as a string or as a JSON float
+        code, text = run_capture(["charge", "eval", "--roots", '["0","2"]',
+                                  "--v", f"[{bad},\"0\",\"1\"]"])
+        assert code == 1 and text.count("\n") == 1
+        assert json.loads(text)["error"] == "ValueError"
+
     def test_determinism(self):
         a = run_capture(["quadform", "build", "--s", '["0","2","4"]',
                          "--t", '["1","3","5"]'])

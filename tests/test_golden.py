@@ -7,6 +7,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -23,3 +25,11 @@ def test_q_tilde_alpha_and_gram():
     lines = json.loads(stored)["lines"]
     assert len(lines) == 12 and {e["n"] for e in lines} == {2, 3, 4, 5}
     assert make.render([make.entry(e["s"], e["t"]) for e in lines]) == stored
+
+
+_CLI = _script("make_cli")
+
+
+@pytest.mark.parametrize("name", sorted(_CLI.CASES))
+def test_cli_output(name):
+    assert _CLI.render(_CLI.CASES[name]) == (_CLI.DIR / name).read_text()

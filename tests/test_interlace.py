@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +19,16 @@ from redstab.interlace import (
     Pencil,
     Polynomial,
     RootTuple,
+    _newton_polish_exact,
     is_interlaced,
     left_interlaced,
     member_with_root,
     pencil_canonical,
     pencil_project,
+    poly_add,
     poly_mul,
+    poly_scale,
+    poly_shift_arg,
     poly_to_roots,
     proportional,
     roots_to_poly,
@@ -31,6 +37,7 @@ from redstab.interlace import (
     shift_pencil,
     stabilizing_shift,
 )
+from redstab.oracles import newton_polish_fraction
 
 
 def RT(*xs):
@@ -89,6 +96,34 @@ class TestRootsPoly:
         back = poly_to_roots(roots_to_poly(t))
         for a, b in zip(back.entries, t.entries):
             assert abs(float(a) - float(b)) < 1e-10 * max(1.0, abs(float(b)))
+
+
+class TestExactPolish:
+    @staticmethod
+    def _cases():
+        rng = random.Random(4)
+        for n in range(3, 7):
+            for _ in range(8):
+                # n distinct rational roots inside a window of width <= 1e-2
+                base = F(rng.randint(-40, 40), rng.randint(1, 9))
+                width = F(1, 10 ** rng.randint(2, 7))
+                roots = set()
+                while len(roots) < n:
+                    roots.add(base + width * F(rng.randint(0, 1000), 1000))
+                yield roots_to_poly(RT(*sorted(roots))).coeffs
+                # the difference polynomial of xi on a length-(n+1) tuple
+                t = set()
+                while len(t) < n + 1:
+                    t.add(F(rng.randint(-60, 60), rng.randint(1, 4)))
+                f = roots_to_poly(RT(*sorted(t))).coeffs
+                m = F(rng.randint(1, 8), rng.randint(1, 8))
+                yield poly_add(f, poly_scale(poly_shift_arg(f, -m), -1))[: n + 1]
+
+    def test_integer_route_equals_fraction_route(self):
+        for coeffs in self._cases():
+            xs = sorted(np.roots([float(c) for c in reversed(coeffs)]).real)
+            assert _newton_polish_exact(coeffs, xs) == [
+                newton_polish_fraction(coeffs, x) for x in xs]
 
 
 class TestInterlaced:
