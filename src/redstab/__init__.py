@@ -22,6 +22,7 @@ from .charge import (
     kernel_parameter,
     poly_of_charge,
     reduced_charge,
+    split_central,
 )
 from .errors import (
     AlphaSearchFailed,
@@ -35,6 +36,7 @@ from .errors import (
     InKernelOfLine,
     InvalidAmbient,
     InvalidParams,
+    InvariantViolated,
     LatticeMismatch,
     NotDistinctRoots,
     NotInKernel,

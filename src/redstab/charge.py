@@ -24,11 +24,12 @@ import numpy as np
 from .errors import (
     AmbientMismatch,
     ComplexRoots,
+    DecompositionFailed,
     InKernelOfLine,
     NotDistinctRoots,
     NotInKernel,
 )
-from .exact import all_exact, is_exact, solve
+from .exact import all_exact, coerce, solve
 from .interlace import (
     PLUS_INFINITY,
     Pencil,
@@ -43,18 +44,12 @@ BOUNDARY_FLAG_TOL = 1e-8     # |a_i| below this flags a boundary case
 KERNEL_REL_TOL = 1e-9        # kernel membership tolerance, relative
 
 
-def _factorial(k):
-    return math.factorial(k)
-
-
 def gamma(t, n: int) -> tuple:
     """Twisted vector (1, t, t^2/2!, ..., t^n/n!); (0,...,0,1) at +inf."""
     if t == PLUS_INFINITY:
         return (0,) * n + (1,)
-    if is_exact(t):
-        t = Fraction(t)
-        return tuple(t ** k / _factorial(k) for k in range(n + 1))
-    return tuple(t ** k / _factorial(k) for k in range(n + 1))
+    (t,) = coerce((t,))
+    return tuple(t ** k / math.factorial(k) for k in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,7 @@ class ReducedCharge:
     weights: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "weights", coerce(self.weights))
 
     @property
     def ambient(self) -> int:
@@ -137,30 +132,22 @@ def charge_of_poly(f: Polynomial) -> ReducedCharge:
 
     Degree n divides by n!; degree n-1 scales by -1/(n-1)! so that the monic
     root polynomial of any tuple maps exactly onto that tuple's charge.  The
-    ch_n weight of a degree n-1 member is the integer 0 (never a float -0.0).
+    ch_n weight of a degree n-1 member is 0 in the weights' representation
+    (Fraction 0, or the float 0.0; never -0.0).
     """
-    n = f.ambient
-    top = f.degree
-    scale = Fraction(1, _factorial(top)) if all_exact(f.coeffs) else 1.0 / _factorial(top)
+    n, top = f.ambient, f.degree
+    *coeffs, scale = coerce(f.coeffs[: top + 1] + (Fraction(1, math.factorial(top)),))
     if top < n:
         scale = -scale
-    weights = tuple(scale * _factorial(k) * c for k, c in enumerate(f.coeffs[: top + 1]))
+    weights = tuple(scale * math.factorial(k) * c for k, c in enumerate(coeffs))
     return ReducedCharge(weights + (0,) * (n - top))
 
 
 def poly_of_charge(B: ReducedCharge) -> Polynomial:
     """Inverse of charge_of_poly; uses the +inf branch when the top weight vanishes."""
     n = B.ambient
-    exact = B.is_exact()
-    if B.weights[n] != 0:
-        scale = Fraction(_factorial(n)) if exact else float(_factorial(n))
-    else:
-        scale = Fraction(-_factorial(n - 1)) if exact else -float(_factorial(n - 1))
-    coeffs = []
-    for k, w in enumerate(B.weights):
-        fk = Fraction(_factorial(k)) if exact else _factorial(k)
-        coeffs.append(scale * w / fk)
-    return Polynomial(tuple(coeffs), n)
+    scale = math.factorial(n) if B.weights[n] != 0 else -math.factorial(n - 1)
+    return Polynomial(tuple(scale * w / math.factorial(k) for k, w in enumerate(B.weights)), n)
 
 
 def in_Bn(B: ReducedCharge, d=0):
@@ -179,12 +166,31 @@ def in_Bn(B: ReducedCharge, d=0):
     if not c > 0:
         return None
     try:
-        t = poly_of_charge(B.scaled(1 / Fraction(c) if is_exact(c) else 1.0 / c)).roots()
+        t = poly_of_charge(B.scaled(1 / c)).roots()
     except (ComplexRoots, NotDistinctRoots):
         return None
     if not t.sep() > d:
         return None
     return (c, t)
+
+
+def split_central(Z: CentralCharge):
+    """The split Z = c1*B_s + i*c2*B_t, as (c1, s, c2, t) with c2 > 0.
+
+    The imaginary part must be a positive scaled charge and the real part a
+    scaled charge of either sign (c1 < 0 through its negation); raises
+    DecompositionFailed naming the part that is not.
+    """
+    dec_t = in_Bn(Z.imag)
+    if dec_t is None:
+        raise DecompositionFailed("imaginary part is not a positive charge")
+    dec_s = in_Bn(Z.real)
+    if dec_s is None:
+        dec_s = in_Bn(Z.real.scaled(-1))
+        if dec_s is None:
+            raise DecompositionFailed("real part is not a signed charge")
+        dec_s = (-dec_s[0], dec_s[1])
+    return dec_s + dec_t
 
 
 def in_Un(Z: CentralCharge, d=0) -> bool:
@@ -195,19 +201,10 @@ def in_Un(Z: CentralCharge, d=0) -> bool:
     when t < s, c1 > 0 when s < t), and for d > 0 the sampled separation of
     the spanned line.
     """
-    dec_t = in_Bn(Z.imag)
-    if dec_t is None:
+    try:
+        c1, s, _, t = split_central(Z)
+    except DecompositionFailed:
         return False
-    _, t = dec_t
-    dec_s = in_Bn(Z.real)
-    if dec_s is not None:
-        c1, s = dec_s
-    else:
-        dec_s = in_Bn(Z.real.scaled(-1))
-        if dec_s is None:
-            return False
-        c1 = -dec_s[0]
-        s = dec_s[1]
     if t < s and s.lt_shift(t):
         if not c1 < 0:
             return False

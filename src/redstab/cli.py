@@ -15,9 +15,8 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 from . import plots, selftest, serialize, walls
-from .charge import CentralCharge, decompose, eval_charge, in_Bn, in_Un, reduced_charge
+from .charge import CentralCharge, decompose, eval_charge, in_Bn, reduced_charge
 from .errors import RedstabError
-from .exact import is_exact
 from .geometry import (
     NSLattice,
     NSVector,
@@ -37,10 +36,6 @@ from .quadform import q_line, q_tilde, verify_support
 from .restrict import RestrictionSpec, restrict_charge, xi, xi_multi
 
 N2S = serialize.number_to_str
-
-
-def _parse_num(s):
-    return serialize.number_from_str(s)
 
 
 def _parse_vec(s):
@@ -74,10 +69,6 @@ def _config_echo(args):
             for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _mode_of(values):
-    return serialize.mode_of(values)
-
-
 # ---------------------------------------------------------------------------
 # verb implementations
 
@@ -95,7 +86,7 @@ def cmd_interlace_sep(args):
         val = sep(serialize.poly_from_json(json.loads(args.poly), args.ambient))
     else:
         raise ValueError("sep needs --roots or --poly")
-    return _emit({"result": {"sep": N2S(val)}, "mode": _mode_of((val,))}, args)
+    return _emit({"result": {"sep": N2S(val)}, "mode": serialize.mode_of((val,))}, args)
 
 
 def cmd_interlace_sep_pencil(args):
@@ -116,14 +107,14 @@ def cmd_charge_eval(args):
         raise ValueError("charge eval needs --roots or --weights")
     v = _parse_vec(args.v)
     val = eval_charge(B, v)
-    return _emit({"result": {"value": N2S(val)}, "mode": _mode_of((val,))}, args)
+    return _emit({"result": {"value": N2S(val)}, "mode": serialize.mode_of((val,))}, args)
 
 
 def cmd_charge_weights(args):
     t = _parse_roots(args.roots)
     B = reduced_charge(t)
     return _emit({"result": {"weights": serialize.charge_to_json(B)},
-                  "mode": _mode_of(B.weights)}, args)
+                  "mode": serialize.mode_of(B.weights)}, args)
 
 
 def cmd_charge_decompose(args):
@@ -132,12 +123,12 @@ def cmd_charge_decompose(args):
     dec = decompose(v, t)
     return _emit({"result": {"coefficients": [N2S(a) for a in dec.coeffs],
                              "verdict": dec.verdict, "boundary": dec.boundary},
-                  "mode": _mode_of(dec.coeffs)}, args)
+                  "mode": serialize.mode_of(dec.coeffs)}, args)
 
 
 def cmd_charge_in_bn(args):
     B = serialize.charge_from_json(json.loads(args.weights))
-    d = _parse_num(args.d)
+    d = serialize.number_from_str(args.d)
     decd = in_Bn(B, d)
     result = {"member": decd is not None}
     if decd is not None:
@@ -153,7 +144,7 @@ def cmd_quadform_build(args):
               "construction": Q.meta.get("construction")}
     if "alpha" in Q.meta:
         result["alpha"] = N2S(Q.meta["alpha"])
-    return _emit({"result": result, "mode": _mode_of(
+    return _emit({"result": result, "mode": serialize.mode_of(
         [x for row in Q.gram for x in row])}, args)
 
 
@@ -174,9 +165,13 @@ def cmd_quadform_verify(args):
     }}, args)
 
 
+def _threefold_params(args):
+    return ThreefoldParams(*(serialize.number_from_str(getattr(args, name))
+                             for name in ("alpha", "beta", "a", "b")))
+
+
 def cmd_geom_threefold(args):
-    p = ThreefoldParams(alpha=_parse_num(args.alpha), beta=_parse_num(args.beta),
-                        a=_parse_num(args.a), b=_parse_num(args.b))
+    p = _threefold_params(args)
     Z = threefold_charge(p)
     real_t, imag_t = threefold_kernel_tuples(p)
     return _emit({"result": {
@@ -184,7 +179,7 @@ def cmd_geom_threefold(args):
         "imag_weights": serialize.charge_to_json(Z.imag),
         "real_kernel_roots": serialize.roots_to_json(real_t) if real_t else None,
         "imag_kernel_roots": serialize.roots_to_json(imag_t) if imag_t else None,
-    }, "mode": _mode_of(Z.real.weights + Z.imag.weights)}, args)
+    }, "mode": serialize.mode_of(Z.real.weights + Z.imag.weights)}, args)
 
 
 def cmd_geom_params(args):
@@ -197,15 +192,14 @@ def cmd_geom_params(args):
 
 
 def cmd_geom_validity(args):
-    p = ThreefoldParams(alpha=_parse_num(args.alpha), beta=_parse_num(args.beta),
-                        a=_parse_num(args.a), b=_parse_num(args.b))
+    p = _threefold_params(args)
     valid, inter = validity_iff_interlaced(p)
     return _emit({"result": {"validity_inequality": valid, "kernels_interlaced": inter,
                              "agree": valid == inter}}, args)
 
 
 def cmd_geom_family(args):
-    beta = _parse_num(args.beta) if args.beta else None
+    beta = serialize.number_from_str(args.beta) if args.beta else None
     rep = family_equiv_check(_parse_vec(args.v), _parse_roots(args.roots),
                              beta=beta, grid=args.grid)
     return _emit({"result": {
@@ -220,13 +214,13 @@ def cmd_geom_family(args):
 
 def _ns_vector(lat, text):
     data = json.loads(text)
-    return NSVector(_parse_num(data[0]),
-                    tuple(_parse_num(x) for x in data[1]),
-                    _parse_num(data[2]), lat)
+    return NSVector(serialize.number_from_str(data[0]),
+                    tuple(serialize.number_from_str(x) for x in data[1]),
+                    serialize.number_from_str(data[2]), lat)
 
 
 def cmd_geom_ab(args):
-    lat = NSLattice(tuple(tuple(_parse_num(x) for x in row)
+    lat = NSLattice(tuple(tuple(serialize.number_from_str(x) for x in row)
                           for row in json.loads(args.gram)))
     v = _ns_vector(lat, args.v)
     if args.verb == "ab-delta":
@@ -234,17 +228,17 @@ def cmd_geom_ab(args):
             val = ab_delta(v, _ns_vector(lat, args.w))
         else:
             val = ab_delta(v)
-        return _emit({"result": {"delta": N2S(val)}, "mode": _mode_of((val,))}, args)
+        return _emit({"result": {"delta": N2S(val)}, "mode": serialize.mode_of((val,))}, args)
     if args.verb == "ab-twist":
-        tw = ab_twist(v, tuple(_parse_num(x) for x in json.loads(args.G)))
+        tw = ab_twist(v, tuple(serialize.number_from_str(x) for x in json.loads(args.G)))
         return _emit({"result": {"twisted": [N2S(tw.r), [N2S(x) for x in tw.D], N2S(tw.s)]}}, args)
     if args.verb == "ab-negdef":
         return _emit({"result": {"holds": criterion_neg_def(v, _ns_vector(lat, args.w))}}, args)
     if args.verb == "ab-bayer":
-        g = tuple(_parse_num(x) for x in json.loads(args.G))
+        g = tuple(serialize.number_from_str(x) for x in json.loads(args.G))
         return _emit({"result": {"holds": criterion_bayer_step(v, g)}}, args)
     if args.verb == "ab-restrict":
-        h = tuple(_parse_num(x) for x in json.loads(args.H))
+        h = tuple(serialize.number_from_str(x) for x in json.loads(args.H))
         return _emit({"result": {"holds": criterion_restrict(
             v, _ns_vector(lat, args.w), h)}}, args)
     raise RedstabError(f"unknown ab verb {args.verb}")
@@ -300,25 +294,25 @@ def cmd_walls_plot(args):
 
 
 def cmd_restrict_xi(args):
-    out = xi(_parse_roots(args.roots), _parse_num(args.m))
+    out = xi(_parse_roots(args.roots), serialize.number_from_str(args.m))
     return _emit({"result": {"roots": serialize.roots_to_json(out)},
-                  "mode": _mode_of(out.finite)}, args)
+                  "mode": serialize.mode_of(out.finite)}, args)
 
 
 def cmd_restrict_chain(args):
-    degrees = tuple(_parse_num(x) for x in json.loads(args.spec))
+    degrees = tuple(serialize.number_from_str(x) for x in json.loads(args.spec))
     t = _parse_roots(args.roots)
     out = xi_multi(t, RestrictionSpec(degrees, t.n))
     return _emit({"result": {"roots": serialize.roots_to_json(out)},
-                  "mode": _mode_of(out.finite)}, args)
+                  "mode": serialize.mode_of(out.finite)}, args)
 
 
 def cmd_restrict_charge(args):
     s = _parse_roots(args.s)
     t = _parse_roots(args.t)
-    Z = CentralCharge(reduced_charge(s).scaled(_parse_num(args.c1)),
-                      reduced_charge(t).scaled(_parse_num(args.c2)))
-    rc = restrict_charge(Z, _parse_num(args.m))
+    Z = CentralCharge(reduced_charge(s).scaled(serialize.number_from_str(args.c1)),
+                      reduced_charge(t).scaled(serialize.number_from_str(args.c2)))
+    rc = restrict_charge(Z, serialize.number_from_str(args.m))
     return _emit({"result": {
         "real_weights": serialize.charge_to_json(rc.charge.real),
         "imag_weights": serialize.charge_to_json(rc.charge.imag),

@@ -87,3 +87,7 @@ class SepViolation(RedstabError):
 
 class DecompositionFailed(RedstabError):
     """Internal consistency alarm: composed charge does not match its prediction."""
+
+
+class InvariantViolated(RedstabError):
+    """An identity that holds by construction failed: a bug, not a bad input."""

@@ -1,14 +1,25 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra, and the rule that keeps exact values apart
+from floats.
 
-All identities of the charge/form layer are rational; only root locations are
-irrational.  This module keeps the rational side exact: fraction-free Bareiss
-determinants, Gaussian solve/nullspace/inverse over ``fractions.Fraction``,
-and congruence-based inertia for symmetric forms.  Inputs holding floats fall
-back to numpy with explicit tolerances.
+``coerce`` normalizes each group of values that enters the system together
+(RootTuple entries, Polynomial coefficients, ReducedCharge weights,
+QuadraticForm Gram entries, the four ThreefoldParams slots).  A group whose
+members other than +inf and None are all ints or Fractions becomes all
+Fraction; any other group turns its ints and Fractions into floats and
+leaves its floats, numpy floats included, as they are.  Plain arithmetic then
+keeps the representation: ``x / math.factorial(k)`` is exact on exact data
+and a float on float data.  A constant that must follow the data joins its
+group, ``*xs, c = coerce(xs + (Fraction(1, 6),))``; ``Fraction(1, 2) * x``
+needs no such step, since a Fraction times a float is a float.
+
+One Gauss-Jordan elimination (``rref``) serves ``solve``, ``inv``,
+``nullspace``, ``rank`` and ``particular_solution``.  Determinants are
+fraction-free Bareiss and inertia is congruence diagonalization; float input
+falls back to numpy with explicit tolerances.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 
 import numpy as np
 
@@ -18,15 +29,44 @@ FLOAT_EIG_MARGIN = 1e-10  # definiteness margin for the float fallback
 
 
 def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    kind = type(x)
+    if kind is Fraction or kind is int:
+        return True
+    # the common types are settled by type(): isinstance against Fraction
+    # goes through ABCMeta and is several times slower
+    return kind is not float and isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def all_exact(values) -> bool:
     return all(is_exact(x) for x in values)
 
 
+# member types of a group that is already in its representation; coerce
+# returns such a group without the two passes over its members
+_SETTLED = ({Fraction}, {float})
+
+
+def coerce(values) -> tuple:
+    """One representation for a group of values: all Fraction, or float.
+
+    Exact when every member other than +inf and None is an int or a
+    Fraction; otherwise the int and Fraction members become floats.
+    """
+    values = tuple(values)
+    if set(map(type, values)) in _SETTLED:
+        return values
+    if all(is_exact(x) or x is None or x == inf for x in values):
+        return tuple(Fraction(x) if isinstance(x, int) else x for x in values)
+    return tuple(float(x) if is_exact(x) else x for x in values)
+
+
 def exact_sqrt(x):
-    """Square root of a nonnegative Fraction if rational, else None."""
+    """Square root of a nonnegative exact rational if rational, else None.
+
+    None also for a float, whose square root is left to ``math.sqrt``.
+    """
+    if not is_exact(x):
+        return None
     x = Fraction(x)
     if x < 0:
         return None
@@ -79,50 +119,50 @@ def det(rows):
     return float(np.linalg.det(np.array(rows, dtype=float)))
 
 
+def rref(rows, width=None):
+    """Gauss-Jordan elimination over Fractions: (reduced rows, pivot columns).
+
+    Pivots are sought in the first ``width`` columns (all of them by
+    default); further columns, such as a right-hand side, are carried along.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    if width is None:
+        width = len(m[0]) if m else 0
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][col]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
 def solve(a_rows, b):
     """Solve A x = b exactly (square, rational).  Raises SingularForm."""
     n = len(a_rows)
-    m = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a_rows, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise SingularForm("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        pivval = m[col][col]
-        m[col] = [x / pivval for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    m, pivots = rref([list(row) + [bv] for row, bv in zip(a_rows, b)], n)
+    if len(pivots) < n:
+        raise SingularForm("singular system")
+    return [row[n] for row in m]
 
 
 def nullspace(rows, width=None):
     """Basis of the right nullspace of a rational matrix, as Fraction vectors."""
     if width is None:
         width = len(rows[0])
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(width) if c not in pivots]
+    m, pivots = rref(rows, width)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(width) if c not in pivots):
         v = [Fraction(0)] * width
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -131,22 +171,29 @@ def nullspace(rows, width=None):
     return basis
 
 
+def rank(rows, width=None):
+    """Rank of a rational matrix."""
+    return len(rref(rows, width)[1])
+
+
+def particular_solution(rows, rhs, width):
+    """One exact solution of A x = b (free variables zero), or None if inconsistent."""
+    m, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], width)
+    if any(row[width] != 0 for row in m[len(pivots):]):
+        return None
+    out = [Fraction(0)] * width
+    for i, col in enumerate(pivots):
+        out[col] = m[i][width]
+    return out
+
+
 def inv(rows):
     """Exact inverse of a rational square matrix.  Raises SingularForm."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise SingularForm("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    m, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                      for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise SingularForm("matrix is singular")
     return [row[n:] for row in m]
 
 

@@ -30,12 +30,14 @@ from .charge import (
 )
 from .errors import (
     AmbientMismatch,
+    ComplexRoots,
     IndexOutOfRange,
     InvalidParams,
     LatticeMismatch,
+    NotDistinctRoots,
     WrongSignature,
 )
-from .exact import all_exact, exact_sqrt, inertia, is_exact
+from .exact import coerce, exact_sqrt, inertia, is_exact
 from .interlace import PLUS_INFINITY, RootTuple
 
 K_GRID_MARGIN = Fraction(1, 1000)  # relative inset from the K-interval ends
@@ -46,17 +48,8 @@ def twisted_chern(v, beta, k: int):
     n = len(v) - 1
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"component {k} outside 0..{n}")
-    if is_exact(beta) and all_exact(v):
-        beta = Fraction(beta)
-    acc = 0
-    for j in range(k + 1):
-        acc += (-beta) ** (k - j) / _fact(k - j, exact=is_exact(beta)) * v[j]
-    return acc
-
-
-def _fact(k, exact=True):
-    f = math.factorial(k)
-    return Fraction(f) if exact else float(f)
+    beta, *v = coerce((beta, *v))
+    return sum((-beta) ** (k - j) / math.factorial(k - j) * v[j] for j in range(k + 1))
 
 
 def delta_H(v):
@@ -85,12 +78,20 @@ def q_K_beta(v, K, beta):
 
 @dataclass(frozen=True)
 class ThreefoldParams:
-    """Slice parameters (alpha, beta, a, b); conversions may leave some unset."""
+    """Slice parameters (alpha, beta, a, b); conversions may leave some unset.
+
+    The four slots are coerced as one group (exact.coerce).
+    """
 
     alpha: object = None
     beta: object = None
     a: object = None
     b: object = None
+
+    def __post_init__(self):
+        values = coerce((self.alpha, self.beta, self.a, self.b))
+        for name, x in zip(("alpha", "beta", "a", "b"), values):
+            object.__setattr__(self, name, x)
 
     @property
     def is_complete(self) -> bool:
@@ -101,12 +102,7 @@ class ThreefoldParams:
         """The slice validity inequality a > alpha^2/6 + |b| alpha/2."""
         if not self.is_complete or not self.alpha > 0:
             return False
-        return self.a > self.alpha * self.alpha / _two(6, self.alpha) \
-            + abs(self.b) * self.alpha / _two(2, self.alpha)
-
-
-def _two(k, probe):
-    return Fraction(k) if is_exact(probe) else float(k)
+        return self.a > self.alpha * self.alpha / 6 + abs(self.b) * self.alpha / 2
 
 
 def threefold_charge(p: ThreefoldParams) -> CentralCharge:
@@ -116,23 +112,13 @@ def threefold_charge(p: ThreefoldParams) -> CentralCharge:
     if not p.is_valid:
         raise InvalidParams("parameters violate a > alpha^2/6 + |b| alpha/2")
     alpha, beta, a, b = p.alpha, p.beta, p.a, p.b
-    exact = all_exact((alpha, beta, a, b))
-    if exact:
-        alpha, beta, a, b = map(Fraction, (alpha, beta, a, b))
-    two = Fraction(2) if exact else 2.0
-    six = Fraction(6) if exact else 6.0
     real = ReducedCharge((
-        beta ** 3 / six + b * beta ** 2 / two - a * beta,
-        a - b * beta - beta ** 2 / two,
+        beta ** 3 / 6 + b * beta ** 2 / 2 - a * beta,
+        a - b * beta - beta ** 2 / 2,
         beta + b,
-        -1 if exact else -1.0,
+        -1,
     ))
-    imag = ReducedCharge((
-        (beta ** 2 - alpha ** 2) / two,
-        -beta,
-        1 if exact else 1.0,
-        0 if exact else 0.0,
-    ))
+    imag = ReducedCharge(((beta ** 2 - alpha ** 2) / 2, -beta, 1, 0))
     return CentralCharge(real, imag)
 
 
@@ -147,12 +133,10 @@ def threefold_kernel_tuples(p: ThreefoldParams):
     disc = 9 * b * b + 24 * a
     real_tuple = None
     if disc > 0:
-        s = exact_sqrt(disc) if all_exact((a, b)) else None
+        s = exact_sqrt(disc)
         if s is None:
             s = math.sqrt(float(disc))
-        vals = sorted((beta + (3 * b - s) / _two(2, s),
-                       beta + 0 * s,
-                       beta + (3 * b + s) / _two(2, s)))
+        vals = sorted((beta + (3 * b - s) / 2, beta + 0 * s, beta + (3 * b + s) / 2))
         if vals[0] < vals[1] < vals[2]:
             real_tuple = RootTuple(tuple(vals))
     imag_tuple = None
@@ -171,14 +155,12 @@ def params_from_tuples(t) -> ThreefoldParams:
     t = t if isinstance(t, RootTuple) else RootTuple(tuple(t))
     if t.has_infinity:
         raise InvalidParams("conversion needs finite tuples")
-    exact = all_exact(t.entries)
-    e = tuple(Fraction(x) for x in t.entries) if exact else tuple(map(float, t.entries))
-    two, three, twenty4 = (Fraction(2), Fraction(3), Fraction(24)) if exact else (2.0, 3.0, 24.0)
+    e = t.entries
     if t.n == 2:
-        return ThreefoldParams(alpha=(e[1] - e[0]) / two, beta=(e[1] + e[0]) / two)
+        return ThreefoldParams(alpha=(e[1] - e[0]) / 2, beta=(e[1] + e[0]) / 2)
     if t.n == 3:
-        b = (e[0] + e[2] - 2 * e[1]) / three
-        a = ((e[2] - e[0]) ** 2 - 9 * b * b) / twenty4
+        b = (e[0] + e[2] - 2 * e[1]) / 3
+        a = ((e[2] - e[0]) ** 2 - 9 * b * b) / 24
         return ThreefoldParams(beta=e[1], a=a, b=b)
     raise InvalidParams("expected a tuple of length 2 or 3")
 
@@ -188,10 +170,10 @@ def max_alpha(a, b):
     disc = 9 * b * b + 24 * a
     if not disc > 0:
         return 0
-    s = exact_sqrt(disc) if all_exact((a, b)) else None
+    s = exact_sqrt(disc)
     if s is None:
         s = math.sqrt(float(disc))
-    return (s - 3 * abs(b)) / _two(2, s)
+    return (s - 3 * abs(b)) / 2
 
 
 def validity_iff_interlaced(p: ThreefoldParams):
@@ -260,15 +242,16 @@ def _fixed_beta_scan(v, t, K_interval, beta, grid):
         pp = params_from_tuples(t)
         amax = max_alpha(pp.a, pp.b)
         lo = 3 * pp.a
-        hi = 3 * pp.a + amax * amax / _two(2, amax)
+        hi = 3 * pp.a + amax * amax / 2
     else:
         lo, hi = K_interval
-    span = hi - lo
+    # the grid values K join the group of the data they are paired with
+    k_lo, span, *_ = coerce((lo, hi - lo, beta, *v))
+    exact = is_exact(span)
     failures = []
-    exact = all_exact(v) and all_exact((lo, hi)) and is_exact(beta)
     for i in range(grid):
         frac = K_GRID_MARGIN + (1 - 2 * K_GRID_MARGIN) * Fraction(i, max(grid - 1, 1))
-        K = lo + (frac if exact else float(frac)) * span
+        K = k_lo + frac * span
         val = q_K_beta(v, K, beta)
         if exact:
             holds = val >= 0
@@ -286,7 +269,9 @@ def _family_value(v, t, Bt, r1, r2):
     """Normalized inequality value of the pencil with drop member (r1, r2, inf).
 
     Returns (value / scale, K, beta) or None when the pencil's middle member
-    fails root extraction.
+    fails root extraction.  The member has degree 3 (Br does not vanish at
+    beta), so the +inf padding cannot fail and extraction raises only
+    ComplexRoots or NotDistinctRoots.
     """
     alpha = (r2 - r1) / 2
     beta = (r1 + r2) / 2
@@ -297,11 +282,10 @@ def _family_value(v, t, Bt, r1, r2):
     member = Br.scaled(x2).plus(Bt.scaled(-x1))
     try:
         q = poly_of_charge(member).roots()
-    except Exception:
+    except (ComplexRoots, NotDistinctRoots):
         return None
-    qq = q if all_exact(q.entries) else RootTuple(tuple(
-        Fraction(float(x)).limit_denominator(10 ** 12) for x in q.entries))
-    pp = params_from_tuples(qq)
+    # a cubic's roots come out as floats; rationalized, they give an exact K
+    pp = params_from_tuples(tuple(Fraction(x).limit_denominator(10 ** 12) for x in q.entries))
     K = (alpha * alpha + 6 * pp.a) / 2
     val = q_K_beta(v, K, beta)
     scale = max(abs(float(delta_H(v))) * abs(float(K)),
@@ -429,9 +413,8 @@ def ab_twist(v: NSVector, G) -> NSVector:
     G = tuple(G)
     if len(G) != lat.rho:
         raise LatticeMismatch("twist class length does not match the lattice")
-    half = Fraction(1, 2) if all_exact(G) and is_exact(v.r) else 0.5
     newD = tuple(d + v.r * g for d, g in zip(v.D, G))
-    news = v.s + lat.dot(v.D, G) + half * v.r * lat.dot(G, G)
+    news = v.s + lat.dot(v.D, G) + Fraction(1, 2) * v.r * lat.dot(G, G)
     return NSVector(v.r, newD, news, lat)
 
 

@@ -7,9 +7,11 @@ exactly when every line through them consists of members again; the pencil
 operations (canonical degree-(n-1) member, projection to ambient n-1, root
 separation of a whole line) implement that calculus.
 
-Arithmetic on coefficients stays exact (ints / Fractions) whenever the inputs
-are exact; root extraction goes through companion-matrix eigenvalues with
-Newton polishing and is the only float-producing step.
+Entries and coefficients are coerced to one representation on construction
+(all Fraction, or float; see exact.coerce), so arithmetic on coefficients
+stays exact whenever the inputs are exact; root extraction goes through
+companion-matrix eigenvalues with Newton polishing and is the only
+float-producing step.
 """
 
 import math
@@ -23,11 +25,12 @@ from .errors import (
     ComplexRoots,
     DegenerateInput,
     InvalidAmbient,
+    InvariantViolated,
     NotDistinctRoots,
     SearchBudgetExceeded,
     SepTooSmall,
 )
-from .exact import all_exact, exact_sqrt, is_exact
+from .exact import all_exact, coerce, exact_sqrt
 
 PLUS_INFINITY = math.inf
 
@@ -90,7 +93,7 @@ class RootTuple:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(self.entries)
+        entries = coerce(self.entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise ValueError("root tuple needs at least one entry")
@@ -155,7 +158,7 @@ class Polynomial:
     ambient: int
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+        coeffs = coerce(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         n = self.ambient
         if n < 1:
@@ -177,8 +180,6 @@ class Polynomial:
         lead = self.leading
         if lead == 1:
             return self
-        if is_exact(lead) and all_exact(self.coeffs):
-            lead = Fraction(lead)
         return Polynomial(tuple(c / lead for c in self.coeffs), self.ambient)
 
     def __call__(self, x):
@@ -290,12 +291,7 @@ def _extract_roots(f: Polynomial) -> RootTuple:
     if deg == 0:
         return _pad_inf((), f.ambient)
     if deg == 1:
-        a, b = coeffs[1], coeffs[0]
-        if all_exact((a, b)):
-            root = -Fraction(b) / Fraction(a)
-        else:
-            root = -b / a
-        return _pad_inf((root,), f.ambient)
+        return _pad_inf((-coeffs[0] / coeffs[1],), f.ambient)
     if deg == 2:
         c0, c1, c2 = coeffs[0], coeffs[1], coeffs[2]
         disc = c1 * c1 - 4 * c0 * c2
@@ -306,8 +302,8 @@ def _extract_roots(f: Polynomial) -> RootTuple:
                 raise ComplexRoots("negative discriminant")
             sq = exact_sqrt(disc)
             if sq is not None:
-                r1 = (-Fraction(c1) - sq) / (2 * Fraction(c2))
-                r2 = (-Fraction(c1) + sq) / (2 * Fraction(c2))
+                r1 = (-c1 - sq) / (2 * c2)
+                r2 = (-c1 + sq) / (2 * c2)
                 return _pad_inf(tuple(sorted((r1, r2))), f.ambient)
             disc = float(disc)
         if disc <= 0:
@@ -485,7 +481,8 @@ def pencil_project(l: Pencil) -> Pencil:
     gen = l.gen_a if l.gen_a.coeffs[n] != 0 else l.gen_b
     f = gen.monic()
     reduced = poly_add(f.coeffs, poly_scale(poly_mul((0, 1), f_l.coeffs), -1))
-    assert reduced[n] == 0
+    if reduced[n] != 0:
+        raise InvariantViolated("f - x*f_l keeps a degree-n term")
     first = Polynomial(reduced[:n], n - 1)
     second = Polynomial(f_l.coeffs[:n], n - 1)
     return Pencil(first, second)

@@ -32,17 +32,20 @@ from .errors import (
     AssumptionViolated,
     ComplexRoots,
     InvalidAmbient,
+    InvariantViolated,
     NotDistinctRoots,
     SingularForm,
     WrongSignature,
 )
 from .exact import (
     all_exact,
+    coerce,
     inertia,
     inv,
     is_negative_definite,
     mat_mul,
     nullspace,
+    rank,
 )
 from .interlace import (
     PLUS_INFINITY,
@@ -59,17 +62,22 @@ SUPPORT_MARGIN = 1e-8
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Symmetric bilinear form on the ambient-n lattice."""
+    """Symmetric bilinear form on the ambient-n lattice.
+
+    The Gram entries are coerced as one group (exact.coerce).
+    """
 
     gram: tuple
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        g = tuple(tuple(row) for row in self.gram)
-        object.__setattr__(self, "gram", g)
-        n = len(g)
-        if any(len(row) != n for row in g):
+        rows = tuple(tuple(row) for row in self.gram)
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("gram must be square")
+        entries = coerce(x for row in rows for x in row)
+        g = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+        object.__setattr__(self, "gram", g)
         for i in range(n):
             for j in range(i):
                 if g[i][j] != g[j][i]:
@@ -140,8 +148,8 @@ class QuadraticForm:
 
 def _sym_outer(u, w):
     n = len(u)
-    half = Fraction(1, 2) if all_exact(u) and all_exact(w) else 0.5
-    return [[half * (u[i] * w[j] + u[j] * w[i]) for j in range(n)] for i in range(n)]
+    return [[Fraction(1, 2) * (u[i] * w[j] + u[j] * w[i]) for j in range(n)]
+            for i in range(n)]
 
 
 def zero_form(dim: int) -> QuadraticForm:
@@ -461,7 +469,8 @@ def in_WQ(Z: CentralCharge, Q: QuadraticForm) -> bool:
         kernel = nullspace([list(f), list(g)])
         restricted = _restricted_gram(Q, kernel)
         direct = is_negative_definite(restricted) and len(kernel) == rho - 2
-        assert direct == verdict, "dual criterion disagrees with kernel definiteness"
+        if direct != verdict:
+            raise InvariantViolated("dual criterion disagrees with kernel definiteness")
     return verdict
 
 
@@ -500,12 +509,10 @@ def deform_form(h, f1, f2, Q: QuadraticForm, d, N,
         raise AssumptionViolated("dimension mismatch")
     if not (d > 0 and N > 0):
         raise AssumptionViolated("need d > 0 and N > 0")
-    exact = all_exact(h) and all_exact(f1) and all_exact(f2) and Q.is_exact()
-    if not exact:
-        h = tuple(Fraction(x) for x in h)
-        f1 = tuple(Fraction(x) for x in f1)
-        f2 = tuple(Fraction(x) for x in f2)
-        Q = QuadraticForm(tuple(tuple(Fraction(x) for x in row) for row in Q.gram))
+    h = tuple(Fraction(x) for x in h)
+    f1 = tuple(Fraction(x) for x in f1)
+    f2 = tuple(Fraction(x) for x in f2)
+    Q = QuadraticForm(tuple(tuple(Fraction(x) for x in row) for row in Q.gram))
     d = Fraction(d)
     N = Fraction(N)
     if Q.inertia() != (2, rho - 2, 0):
@@ -553,22 +560,16 @@ def _transpose(m):
 
 def _complete_basis(rows, width):
     """Complete independent rows to an invertible matrix with standard vectors."""
-    basis = []
-    for row in rows:
-        basis.append([Fraction(x) for x in row])
-    if _rank(basis, width) != len(rows):
+    basis = [[Fraction(x) for x in row] for row in rows]
+    if rank(basis, width) != len(rows):
         return None
     for k in range(width):
         e = [Fraction(int(i == k)) for i in range(width)]
-        if _rank(basis + [e], width) > len(basis):
+        if rank(basis + [e], width) > len(basis):
             basis.append(e)
         if len(basis) == width:
             break
     return basis
-
-
-def _rank(rows, width):
-    return width - len(nullspace(rows, width))
 
 
 def _model_cone_parameters(g_hat, rho):

@@ -13,12 +13,12 @@ small ambients (up to 4); no inverse or section is provided here, and none
 is known to be numerically stable.
 """
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .charge import CentralCharge, ReducedCharge, in_Bn, reduced_charge
-from .errors import DecompositionFailed, InvalidAmbient, SepViolation
-from .exact import all_exact, is_exact
+from .charge import CentralCharge, ReducedCharge, reduced_charge, split_central
+from .errors import DecompositionFailed, InvalidAmbient, InvariantViolated, SepViolation
+from .exact import coerce
 from .interlace import (
     PLUS_INFINITY,
     Pencil,
@@ -59,14 +59,14 @@ def xi(t, m) -> RootTuple:
     if not t.sep() > m:
         raise SepViolation(f"sep(t) = {t.sep()} must exceed m = {m}")
     fin = t.finite
-    f = roots_to_poly(RootTuple(fin)) if fin else None
-    if f is None or len(fin) == 0:
+    if not fin:
         raise SepViolation("no finite entries to restrict")
-    mm = Fraction(m) if is_exact(m) and all_exact(fin) else m
-    diff = poly_add(f.coeffs, poly_scale(poly_shift_arg(f.coeffs, -mm), -1))
+    f = roots_to_poly(RootTuple(fin))
+    diff = poly_add(f.coeffs, poly_scale(poly_shift_arg(f.coeffs, -m), -1))
     k = len(fin)
     # difference of monic degree-k polynomials: degree exactly k-1
-    assert diff[k] == 0
+    if diff[k] != 0:
+        raise InvariantViolated("f(x) - f(x - m) keeps a degree-k term")
     if k == 1:
         roots = ()
     else:
@@ -99,26 +99,10 @@ def pushforward_matrix(n: int, m):
     """
     if not m > 0:
         raise ValueError("positive degree required")
-    exact = is_exact(m)
-    mm = Fraction(m) if exact else m
-    rows = []
-    for j in range(n + 1):
-        row = []
-        for k in range(n):
-            if k < j:
-                num = mm ** (j - k)
-                den = _fact(j - k, exact)
-                row.append((num / den) if (j - k) % 2 == 1 else (-num / den))
-            else:
-                row.append(Fraction(0) if exact else 0.0)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _fact(k, exact):
-    import math
-
-    return Fraction(math.factorial(k)) if exact else float(math.factorial(k))
+    m, zero = coerce((m, 0))
+    return tuple(tuple((-1) ** (j - k + 1) * (m ** (j - k) / math.factorial(j - k))
+                       if k < j else zero for k in range(n))
+                 for j in range(n + 1))
 
 
 def compose_with_pushforward(B: ReducedCharge, matrix) -> ReducedCharge:
@@ -152,18 +136,7 @@ def restrict_charge(Z: CentralCharge, m) -> RestrictedCharge:
     flags any mismatch beyond tolerance (an internal-consistency alarm).
     """
     n = Z.ambient
-    dec_t = in_Bn(Z.imag)
-    if dec_t is None:
-        raise DecompositionFailed("imaginary part is not a positive charge")
-    c2, t = dec_t
-    dec_s = in_Bn(Z.real)
-    if dec_s is not None:
-        c1, s = dec_s
-    else:
-        dec_s = in_Bn(Z.real.scaled(-1))
-        if dec_s is None:
-            raise DecompositionFailed("real part is not a signed charge")
-        c1, s = -dec_s[0], dec_s[1]
+    c1, s, c2, t = split_central(Z)
     if not s.interlaces(t):
         raise DecompositionFailed("part parameters do not interlace")
     line = Pencil.from_tuples(s, t)

@@ -3,11 +3,14 @@
 Polynomials serialize as arrays of exact rational strings in ascending
 coefficient order; root tuples as arrays with "inf" in the infinite slot;
 lattice vectors and charge weights as arrays of rational strings; Gram
-matrices as 2-d arrays of rational strings.  Values that were computed in
+matrices as 2-d arrays of rational strings.  Only a root tuple takes +inf
+("inf"); every other slot rejects NaN and +-inf, so a number that overflows
+JSON's float range is an error where it enters.  Values that were computed in
 floating point serialize as decimal strings with 17 significant digits and
 are marked by the enclosing document's mode field.
 """
 
+import math
 from fractions import Fraction
 
 from .charge import ReducedCharge
@@ -28,22 +31,31 @@ def number_to_str(x) -> str:
 
 
 def number_from_str(s):
-    """A JSON number or numeric string; ValueError for NaN and a zero denominator."""
+    """A finite JSON number or numeric string.
+
+    ValueError for NaN, +-inf (also a JSON number beyond the float range)
+    and a zero denominator.
+    """
     if isinstance(s, (int, float)):
         x = s
     else:
         s = s.strip()
-        if s in ("inf", "+inf", "Infinity"):
-            return PLUS_INFINITY
         try:
             x = Fraction(s)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {s!r}") from None
         except ValueError:
             x = float(s)
-    if x != x:
-        raise ValueError(f"NaN is not a number: {s!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"not a finite number: {s!r}")
     return x
+
+
+def _root_from_str(s):
+    """A root-tuple entry: a finite number, or +inf as "inf", "+inf", "Infinity"."""
+    if s == PLUS_INFINITY or (isinstance(s, str) and s.strip() in ("inf", "+inf", "Infinity")):
+        return PLUS_INFINITY
+    return number_from_str(s)
 
 
 def mode_of(values) -> str:
@@ -60,7 +72,7 @@ def roots_to_json(t: RootTuple) -> list:
 
 
 def roots_from_json(data) -> RootTuple:
-    return RootTuple(tuple(number_from_str(x) for x in data))
+    return RootTuple(tuple(_root_from_str(x) for x in data))
 
 
 def vector_from_json(data) -> tuple:

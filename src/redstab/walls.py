@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .charge import eval_charge, reduced_charge
-from .errors import AmbientMismatch, DependentCharacters
-from .exact import all_exact, nullspace, solve
+from .errors import AmbientMismatch, ComplexRoots, DependentCharacters, NotDistinctRoots
+from .exact import coerce, nullspace, particular_solution
 from .interlace import Polynomial, RootTuple, proportional
 
 GRID_DEFAULT = 400
@@ -57,8 +57,8 @@ def sb_v_surface(v, p_range=(-8.0, 8.0), samples: int = 200) -> WallLocus:
     if len(v) != 3:
         raise AmbientMismatch("surface locus needs ambient 2")
     v = tuple(v)
-    a, b, c = -Fraction(v[1]) / 2 if all_exact(v) else -v[1] / 2, \
-        Fraction(v[0]) / 2 if all_exact(v) else v[0] / 2, v[2]
+    v0, v1, _ = coerce(v)
+    a, b, c = -v1 / 2, v0 / 2, v[2]
     # line a*p + b*q + c = 0
     implicit = {"p_coeff": a, "q_coeff": b, "const": c}
     pts, res = [], []
@@ -245,7 +245,7 @@ def numerical_wall(v, w, region, grid: int = GRID_DEFAULT) -> WallLocus:
     row_v, rhs_v = _charge_e_row(v, n)
     row_w, rhs_w = _charge_e_row(w, n)
     basis = nullspace([row_v, row_w], n)
-    part = _particular([row_v, row_w], [rhs_v, rhs_w], n)
+    part = particular_solution([row_v, row_w], [rhs_v, rhs_w], n)
     pts, res, tuples = [], [], []
     if part is not None:
         dim = len(basis)
@@ -282,32 +282,6 @@ def numerical_wall(v, w, region, grid: int = GRID_DEFAULT) -> WallLocus:
     )
 
 
-def _particular(rows, rhs, width):
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][width] != 0:
-            return None
-    out = [Fraction(0)] * width
-    for i, col in enumerate(piv_cols):
-        out[col] = aug[i][width]
-    return out
-
-
 def _affine_samples(part, basis, grid, region):
     if region is None:
         span = 10.0
@@ -338,8 +312,9 @@ def _roots_from_elementary(e, n):
         coeffs[n - j] = sign * vals[j - 1]
         sign = -sign
     try:
+        # a member of degree n or n-1: its +inf padding cannot fail
         t = Polynomial(tuple(coeffs), n).roots()
-    except Exception:
+    except (ComplexRoots, NotDistinctRoots):
         return None
     if t.has_infinity:
         return None

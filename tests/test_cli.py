@@ -129,9 +129,10 @@ class TestContract:
             main(["walls", "frobnicate"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("bad", ['"1/0"', '"nan"', "NaN"])
+    @pytest.mark.parametrize("bad", ['"1/0"', '"nan"', "NaN", '"inf"', '"-inf"', "1e999"])
     def test_bad_number_is_one_error_document(self, bad):
-        # a zero denominator or NaN, as a string or as a JSON float
+        # a zero denominator, NaN or an infinity in a finite slot, as a string
+        # or as a JSON float
         code, text = run_capture(["charge", "eval", "--roots", '["0","2"]',
                                   "--v", f"[{bad},\"0\",\"1\"]"])
         assert code == 1 and text.count("\n") == 1

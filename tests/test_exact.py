@@ -3,17 +3,23 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from redstab.charge import gamma, reduced_charge
 from redstab.exact import (
     bareiss_det,
+    coerce,
     exact_sqrt,
     inertia,
     inv,
     is_negative_definite,
     leading_principal_minors,
     nullspace,
+    particular_solution,
+    rank,
     solve,
 )
 from redstab.errors import SingularForm
+from redstab.geometry import ThreefoldParams, threefold_charge
+from redstab.restrict import pushforward_matrix
 
 
 class TestBareiss:
@@ -54,6 +60,62 @@ class TestSolveNullspaceInv:
         prod = [[sum(m[i][k] * mi[k][j] for k in range(2)) for j in range(2)]
                 for i in range(2)]
         assert prod == [[1, 0], [0, 1]]
+
+    def test_rank(self):
+        assert rank([[1, 2, 3], [0, 1, 4], [5, 6, 0]]) == 3
+        assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+        assert rank([[0, 0], [0, 0]]) == 0
+        assert rank([[1, 2, 3]], 1) == 1
+
+    def test_particular_solution_consistent(self):
+        assert particular_solution([[2, 1], [1, 3]], [1, 0], 2) == [F(3, 5), F(-1, 5)]
+
+    def test_particular_solution_underdetermined(self):
+        rows, rhs = [[1, 1, 1], [0, 1, 2]], [F(3), F(1, 2)]
+        x = particular_solution(rows, rhs, 3)
+        assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
+        assert x[2] == 0  # the free variable is set to zero
+
+    def test_particular_solution_inconsistent(self):
+        assert particular_solution([[1, 2], [2, 4]], [1, 3], 2) is None
+
+
+class TestCoerce:
+    def test_exact_group_becomes_fractions(self):
+        out = coerce((1, F(1, 3), -2))
+        assert out == (1, F(1, 3), -2)
+        assert all(type(x) is F for x in out)
+
+    def test_float_group_is_untouched(self):
+        xs = (0.5, np.float64(1.25), -3.0)
+        out = coerce(xs)
+        assert out == xs and all(a is b for a, b in zip(out, xs))
+
+    def test_mixed_group_becomes_float(self):
+        out = coerce((1, F(1, 4), 0.5))
+        assert out == (1.0, 0.25, 0.5)
+        assert all(type(x) is float for x in out)
+
+    def test_inf_and_none_pass_through(self):
+        inf = float("inf")
+        exact = coerce((None, 2, inf))
+        assert exact[0] is None and exact[2] == inf and type(exact[1]) is F
+        floats = coerce((None, 2, 0.5, inf))
+        assert floats[0] is None and floats[3] == inf and type(floats[1]) is float
+
+    def test_int_inputs_stay_exact_end_to_end(self):
+        Z = threefold_charge(ThreefoldParams(1, 0, 1, 0))
+        assert Z.real.weights == (0, 1, 0, -1) and Z.imag.weights == (F(-1, 2), 0, 1, 0)
+        values = (Z.real.weights + Z.imag.weights
+                  + tuple(x for row in pushforward_matrix(3, 2) for x in row) + gamma(2, 3))
+        assert all(type(x) is F for x in values)
+        assert gamma(2, 3) == (1, 2, 2, F(4, 3))
+
+    def test_mixed_int_float_inputs_give_floats(self):
+        Z = threefold_charge(ThreefoldParams(1, 0.5, 1, 0))
+        B = reduced_charge((0, 1.5, 3))
+        assert all(type(x) is float for x in Z.real.weights + Z.imag.weights + B.weights)
+        assert B.weights[-1] == 1.0
 
 
 class TestInertia:
@@ -119,6 +181,9 @@ class TestExactSqrt:
 
     def test_irrational(self):
         assert exact_sqrt(F(2)) is None
+
+    def test_float_is_left_to_math_sqrt(self):
+        assert exact_sqrt(4.0) is None
 
     def test_negative(self):
         assert exact_sqrt(F(-1)) is None

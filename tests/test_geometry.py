@@ -32,7 +32,8 @@ from redstab.geometry import (
     twisted_chern,
     validity_iff_interlaced,
 )
-from redstab.interlace import PLUS_INFINITY, RootTuple
+from redstab.geometry import _family_value
+from redstab.interlace import PLUS_INFINITY, Polynomial, RootTuple
 
 
 def RT(*xs):
@@ -216,6 +217,19 @@ class TestFamilyEquivCheck:
             total += 1
             agree += rep.agree
         assert total > 80 and agree == total
+
+
+def test_family_value_lets_unrelated_errors_through(monkeypatch):
+    t = RT(F(0), F(2), F(5))
+    v = (F(1), F(0), F(0), F(-1))
+    assert _family_value(v, t, reduced_charge(t), F(1), F(3)) is not None
+
+    def broken(self):
+        raise TypeError("not a root-extraction failure")
+
+    monkeypatch.setattr(Polynomial, "roots", broken)
+    with pytest.raises(TypeError):
+        _family_value(v, t, reduced_charge(t), F(1), F(3))
 
 
 def small_lattice():

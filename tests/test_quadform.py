@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from redstab.charge import CentralCharge, ReducedCharge, eval_charge, gamma, reduced_charge
-from redstab.errors import AssumptionViolated, SingularForm, WrongSignature
-from redstab.exact import nullspace
+from redstab import quadform
+from redstab.errors import AssumptionViolated, InvariantViolated, SingularForm, WrongSignature
+from redstab.exact import is_negative_definite, nullspace
 from redstab.interlace import PLUS_INFINITY, Pencil, Polynomial, RootTuple, roots_to_poly
 from redstab.quadform import (
     QuadraticForm,
@@ -249,6 +250,15 @@ class TestInWQ:
         Z = CentralCharge(reduced_charge(RT(F(1), F(3))), reduced_charge(RT(F(0), F(2))))
         with pytest.raises(WrongSignature):
             in_WQ(Z, neg)
+
+    def test_disagreeing_cross_check_raises(self, monkeypatch):
+        # on exact input the dual criterion is cross-checked against kernel
+        # definiteness; a disagreement is a typed error, also under python -O
+        monkeypatch.setattr(quadform, "is_negative_definite",
+                            lambda gram: not is_negative_definite(gram))
+        Z = CentralCharge(reduced_charge(RT(F(1), F(3))), reduced_charge(RT(F(0), F(2))))
+        with pytest.raises(InvariantViolated):
+            in_WQ(Z, DELTA2)
 
     def test_matches_tilde_form_route(self):
         line = Pencil.from_tuples(RT(F(0), F(2), F(4)), RT(F(1), F(3), F(5)))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from redstab.errors import AmbientMismatch, DependentCharacters
+from redstab.interlace import Polynomial
 from redstab.plots import emit_csv, emit_plot, emit_svg, figure_hilb, figure_surface
 from redstab.walls import (
     hilb_boundary,
@@ -13,6 +14,7 @@ from redstab.walls import (
     numerical_wall,
     sb_v_surface,
 )
+from redstab.walls import _roots_from_elementary
 
 
 class TestSurfaceLocus:
@@ -121,6 +123,17 @@ class TestNumericalWall:
         assert loc.dimension == 1 and loc.codimension == 2
         # B(w) = 0 forces e1 = 3k, so the first coordinate -e1 = 9
         assert all(abs(p - 9.0) < 1e-9 for p, _ in loc.points)
+
+
+def test_roots_from_elementary_lets_unrelated_errors_through(monkeypatch):
+    assert _roots_from_elementary([0.0, 1.0], 2) is None  # x^2 + 1: complex roots
+
+    def broken(self):
+        raise TypeError("not a root-extraction failure")
+
+    monkeypatch.setattr(Polynomial, "roots", broken)
+    with pytest.raises(TypeError):
+        _roots_from_elementary([3.0, 2.0], 2)
 
 
 class TestPlots:
