@@ -71,10 +71,10 @@ class ReducedCharge:
     def scaled(self, c) -> "ReducedCharge":
         return ReducedCharge(tuple(c * w for w in self.weights))
 
-    def plus(self, other: "ReducedCharge", a=1, b=1) -> "ReducedCharge":
+    def plus(self, other: "ReducedCharge") -> "ReducedCharge":
         if other.ambient != self.ambient:
             raise AmbientMismatch("ambient mismatch")
-        return ReducedCharge(tuple(a * x + b * y for x, y in zip(self.weights, other.weights)))
+        return ReducedCharge(tuple(x + y for x, y in zip(self.weights, other.weights)))
 
     def is_exact(self) -> bool:
         return all_exact(self.weights)

@@ -466,12 +466,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except RedstabError as exc:
-        doc = {"error": type(exc).__name__, "message": str(exc),
-               "config": _config_echo(args)}
-        sys.stdout.write(json.dumps(doc, sort_keys=True, default=str) + "\n")
-        return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (RedstabError, ValueError, KeyError) as exc:
         doc = {"error": type(exc).__name__, "message": str(exc),
                "config": _config_echo(args)}
         sys.stdout.write(json.dumps(doc, sort_keys=True, default=str) + "\n")

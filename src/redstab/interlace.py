@@ -9,9 +9,9 @@ separation of a whole line) implement that calculus.
 
 Entries and coefficients are coerced to one representation on construction
 (all Fraction, or float; see exact.coerce), so arithmetic on coefficients
-stays exact whenever the inputs are exact; root extraction goes through
-companion-matrix eigenvalues with Newton polishing and is the only
-float-producing step.
+stays exact whenever the inputs are exact.  Root extraction (with Newton
+polishing) and pencil separation are the only float-producing steps; they
+share one solver, _companion_eigvals, and one degree-drop cut, LEAD_ZERO_TOL.
 """
 
 import math
@@ -36,8 +36,10 @@ PLUS_INFINITY = math.inf
 
 ROOT_DISTINCT_TOL = 1e-9   # relative to root spread
 ROOT_IMAG_TOL = 1e-9       # relative to root magnitude scale
+LEAD_ZERO_TOL = 1e-12      # float lead <= this * largest |coeff| drops the degree
 SEP_ANGLES = 720           # uniform pencil angles before refinement
 SEP_REFINE_TOL = 1e-10     # golden-section window width on the angle
+SHIFT_BUDGET = 60          # doublings of the stabilizing shift
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +284,9 @@ def _extract_roots(f: Polynomial) -> RootTuple:
         # effective degree: a float leading coefficient that is negligible
         # against the coefficient scale marks the degree-drop member
         scale = max(abs(float(c)) for c in f.coeffs) or 1.0
-        if deg == f.ambient and abs(float(f.coeffs[deg])) <= 1e-12 * scale:
+        if deg == f.ambient and abs(float(f.coeffs[deg])) <= LEAD_ZERO_TOL * scale:
             deg -= 1
-            if abs(float(f.coeffs[deg])) <= 1e-12 * scale:
+            if abs(float(f.coeffs[deg])) <= LEAD_ZERO_TOL * scale:
                 raise NotDistinctRoots("two vanishing leading coefficients")
     coeffs = f.coeffs[: deg + 1]
     # low degrees solve in closed form, exactly when the data allows
@@ -316,10 +318,7 @@ def _extract_roots(f: Polynomial) -> RootTuple:
         r2 = (-float(c1) + sq) / (2 * float(c2))
         return _finish_float_roots(f, [r1, r2])
     fcoeffs = [float(c) for c in coeffs]
-    comp = _companion(fcoeffs)
-    eig = np.linalg.eigvals(comp)
-    order = np.argsort(eig.real)
-    eig = eig[order]
+    eig = _companion_eigvals(np.array([fcoeffs]))[0]
     scale = max(1.0, float(np.max(np.abs(eig))))
     if float(np.max(np.abs(eig.imag))) > ROOT_IMAG_TOL * scale:
         raise ComplexRoots(f"imaginary part above {ROOT_IMAG_TOL} relative")
@@ -327,7 +326,6 @@ def _extract_roots(f: Polynomial) -> RootTuple:
     roots = [_newton_polish(fcoeffs, dcoeffs, float(x)) for x in eig.real]
     if all_exact(coeffs):
         roots = _newton_polish_exact(coeffs, roots)
-    roots.sort()
     return _finish_float_roots(f, roots)
 
 
@@ -349,13 +347,19 @@ def _pad_inf(finite, ambient):
     raise ValueError("degree drop exceeds one")
 
 
-def _companion(coeffs):
-    deg = len(coeffs) - 1
-    lead = coeffs[-1]
-    comp = np.zeros((deg, deg))
-    comp[1:, :-1] = np.eye(deg - 1)
-    comp[:, -1] = [-c / lead for c in coeffs[:-1]]
-    return comp
+def _companion_eigvals(rows):
+    """Companion-matrix eigenvalues of a stack of float coefficient rows.
+
+    Each row is ascending, of one common degree d = len(row) - 1 and with a
+    nonzero leading coefficient; the result has shape (len(rows), d).  This is
+    the only float root solver: LAPACK solves each matrix of the stack on its
+    own, so a row gives the same eigenvalues alone as inside a batch.
+    """
+    m, d = rows.shape[0], rows.shape[1] - 1
+    comp = np.zeros((m, d, d))
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, :, -1] = -rows[:, :d] / rows[:, d][:, None]
+    return np.linalg.eigvals(comp)
 
 
 def poly_to_roots(f: Polynomial) -> RootTuple:
@@ -497,73 +501,57 @@ def member_with_root(l: Pencil, r) -> Polynomial:
     return member.monic()
 
 
-def sep_pencil(l: Pencil, angles: int = SEP_ANGLES, refine_tol: float = SEP_REFINE_TOL) -> float:
+def sep_pencil(l: Pencil, angles: int = SEP_ANGLES) -> float:
     """Minimum root separation over the whole line.
 
     Dense angular sampling followed by golden-section refinement around the
     sampled minimum.  The resolution is a heuristic (no certified bound on
     how fine a sampling is needed); callers that report results flag this.
     """
-    n = l.ambient
     a = np.array([float(c) for c in l.gen_a.coeffs])
     b = np.array([float(c) for c in l.gen_b.coeffs])
     thetas = np.linspace(0.0, math.pi, angles, endpoint=False)
-    members = np.outer(np.cos(thetas), a) + np.outer(np.sin(thetas), b)
-    seps = _sep_batch(members, n)
+    seps = _sep_batch(np.outer(np.cos(thetas), a) + np.outer(np.sin(thetas), b))
     j = int(np.argmin(seps))
-    best = float(seps[j])
     step = math.pi / angles
-    lo, hi = thetas[j] - step, thetas[j] + step
-    refined = _golden_min(lambda th: _sep_of_coeffs(
-        math.cos(th) * a + math.sin(th) * b), lo, hi, refine_tol)
-    return min(best, refined)
+    refined = _golden_min(lambda th: _sep_of_row(math.cos(th) * a + math.sin(th) * b),
+                          thetas[j] - step, thetas[j] + step, SEP_REFINE_TOL)
+    return min(float(seps[j]), refined)
 
 
-def _sep_of_coeffs(coeffs) -> float:
-    roots = _float_roots_allow(coeffs)
-    if roots is None:
-        return math.inf
-    if len(roots) < 2:
-        return math.inf
-    roots.sort()
-    return float(min(b - a for a, b in zip(roots, roots[1:])))
+def _sep_batch(rows):
+    """Root separations of a stack of ascending coefficient rows.
 
-
-def _float_roots_allow(coeffs):
-    """Real parts of the roots, degree-adaptive; None for the zero polynomial."""
-    c = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(np.abs(c) > 1e-300)[0]
-    if len(nz) == 0:
-        return None
-    deg = int(nz[-1])
-    scale = float(np.max(np.abs(c[: deg + 1]))) or 1.0
-    while deg > 0 and abs(c[deg]) < 1e-12 * scale:
-        deg -= 1
-    if deg == 0:
-        return []
-    r = np.roots(c[deg::-1])
-    return [float(x) for x in r.real]
-
-
-def _sep_batch(members, n):
-    """Root separations for a stack of coefficient rows (ascending order)."""
-    lead = members[:, n]
-    scale = np.max(np.abs(members), axis=1)
-    full = np.abs(lead) > 1e-9 * scale
-    seps = np.full(len(members), np.inf)
-    if np.any(full):
-        rows = members[full]
-        m = rows.shape[0]
-        comp = np.zeros((m, n, n))
-        comp[:, 1:, :-1] = np.eye(n - 1)
-        comp[:, :, -1] = -rows[:, :n] / rows[:, n][:, None]
-        eig = np.linalg.eigvals(comp)
-        re = np.sort(eig.real, axis=1)
-        gaps = np.diff(re, axis=1)
-        seps[full] = gaps.min(axis=1) if n > 1 else np.inf
+    Rows that keep their full degree under LEAD_ZERO_TOL are solved in one
+    batched call; the others go through _sep_of_row.
+    """
+    n = rows.shape[1] - 1
+    full = np.abs(rows[:, n]) > LEAD_ZERO_TOL * np.max(np.abs(rows), axis=1)
+    seps = np.full(len(rows), np.inf)
+    if n > 1 and np.any(full):
+        seps[full] = _min_gaps(_companion_eigvals(rows[full]))
     for i in np.nonzero(~full)[0]:
-        seps[i] = _sep_of_coeffs(members[i])
+        seps[i] = _sep_of_row(rows[i])
     return seps
+
+
+def _sep_of_row(row) -> float:
+    """Root separation of one coefficient row; +inf below two roots.
+
+    Leading coefficients are dropped by the LEAD_ZERO_TOL rule of _sep_batch.
+    """
+    deg = len(row) - 1
+    scale = np.max(np.abs(row))
+    while deg > 1 and abs(row[deg]) <= LEAD_ZERO_TOL * scale:
+        deg -= 1
+    if deg < 2:
+        return math.inf
+    return float(_min_gaps(_companion_eigvals(row[None, : deg + 1]))[0])
+
+
+def _min_gaps(eig):
+    """Per row, the smallest gap between the sorted real parts."""
+    return np.diff(np.sort(eig.real, axis=1), axis=1).min(axis=1)
 
 
 def _golden_min(fn, lo, hi, tol):
@@ -595,7 +583,7 @@ def shift_pencil(f: Polynomial, m) -> Pencil:
     return Pencil(f, Polynomial(poly_shift_arg(f.coeffs, m), f.ambient))
 
 
-def stabilizing_shift(f: Polynomial, g: Polynomial, d, budget: int = 60) -> float:
+def stabilizing_shift(f: Polynomial, g: Polynomial, d) -> float:
     """A shift N with sep of the line through f(x) and (x+N)g(x) above d.
 
     Requires roots(f) < roots(g) < roots(f)[1] and d below the separation of
@@ -609,9 +597,8 @@ def stabilizing_shift(f: Polynomial, g: Polynomial, d, budget: int = 60) -> floa
         raise SepTooSmall(f"d={d} not below sep of the base line {base}")
     n = f.ambient
     f_up = Polynomial(f.coeffs + (0,), n + 1)
-    g_coeffs = g.coeffs + (0,)
     npow = 1.0
-    for _ in range(budget):
+    for _ in range(SHIFT_BUDGET):
         shifted = Polynomial(poly_mul((npow, 1), g.coeffs), n + 1)
         try:
             line = Pencil(f_up, shifted)
@@ -621,4 +608,4 @@ def stabilizing_shift(f: Polynomial, g: Polynomial, d, budget: int = 60) -> floa
         if sep_pencil(line) > d:
             return npow
         npow *= 2
-    raise SearchBudgetExceeded(f"no N within 2^{budget}; d too close to the supremum")
+    raise SearchBudgetExceeded(f"no N within 2^{SHIFT_BUDGET}; d too close to the supremum")

@@ -406,7 +406,7 @@ def _member_pairing_failures(Q, data, margin):
     return failures
 
 
-def q_tilde(l: Pencil, samples: int = 50, margin: float = SUPPORT_MARGIN) -> QuadraticForm:
+def q_tilde(l: Pencil, samples: int = 50) -> QuadraticForm:
     """Inductive support form: alpha * q_line + embedded form of the projection.
 
     The base ambient 1 returns the zero form.  The weight alpha starts at 1
@@ -418,7 +418,7 @@ def q_tilde(l: Pencil, samples: int = 50, margin: float = SUPPORT_MARGIN) -> Qua
     n = l.ambient
     if n == 1:
         return zero_form(2)
-    lower = q_tilde(pencil_project(l), samples=samples, margin=margin)
+    lower = q_tilde(pencil_project(l), samples=samples)
     padded_rows = [tuple(row) + (Fraction(0),) for row in lower.gram]
     padded_rows.append(tuple(Fraction(0) for _ in range(n + 1)))
     lower_padded = QuadraticForm(tuple(padded_rows))
@@ -428,7 +428,7 @@ def q_tilde(l: Pencil, samples: int = 50, margin: float = SUPPORT_MARGIN) -> Qua
     report = None
     while alpha <= ALPHA_CAP:
         candidate = line_form.scaled(alpha).plus(lower_padded)
-        report = _check_support(candidate, data, margin)
+        report = _check_support(candidate, data, SUPPORT_MARGIN)
         if report.ok:
             meta = {"construction": "inductive", "alpha": alpha, "ambient": n}
             return QuadraticForm(candidate.gram, meta)

@@ -22,7 +22,7 @@ from .charge import (
     gamma,
     reduced_charge,
 )
-from .errors import DegenerateInput
+from .errors import DegenerateInput, RedstabError
 from .geometry import (
     NSLattice,
     NSVector,
@@ -263,7 +263,7 @@ def criterion_6(lines=50, gamma_grid=100, members=50, seed=0, vanish_tol=1e-8):
         line = Pencil.from_tuples(s, t)
         try:
             Q = q_tilde(line, samples=members)
-        except Exception as exc:
+        except RedstabError as exc:
             fails.append(("search", s.entries, t.entries, repr(exc)))
             continue
         alphas.append(Q.meta.get("alpha"))
@@ -433,7 +433,7 @@ def criterion_10(draws=200, push_samples=5, seed=0, slack=1e-9, tol=1e-10):
             try:
                 ab = xi(xi(t, m), m2)
                 ba = xi(xi(t, m2), m)
-            except Exception as exc:
+            except RedstabError as exc:
                 fails.append(("chain", t.entries, repr(exc)))
                 continue
             if any(abs(float(x) - float(y)) > 1e-9 for x, y in zip(ab.finite, ba.finite)):

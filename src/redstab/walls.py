@@ -19,7 +19,6 @@ from .exact import coerce, nullspace, particular_solution
 from .interlace import Polynomial, RootTuple, proportional
 
 GRID_DEFAULT = 400
-NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,19 @@ def hilb_bounds(m: int):
 
     N: smallest positive integer with (N+1)(N+2)(N+3) > 6m.
     M: largest positive integer with M^2 (M-4) < 6m and M <= m + 2.
+
+    Both cubics increase from 3 upward and M's inequality holds for every
+    M <= 4, so both searches count up from 1 in O(m^(1/3)) steps.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     n = 1
     while not (n + 1) * (n + 2) * (n + 3) > 6 * m:
         n += 1
-    best = None
-    for cand in range(1, m + 3):
-        if cand <= m + 2 and cand * cand * (cand - 4) < 6 * m:
-            best = cand
-    return (n, best)
+    big_m = 1
+    while big_m < m + 2 and (big_m + 1) ** 2 * (big_m - 3) < 6 * m:
+        big_m += 1
+    return (n, big_m)
 
 
 def hilb_locus(m: int, t2_range=None, samples: int = 40) -> WallLocus:
@@ -233,8 +234,10 @@ def numerical_wall(v, w, region, grid: int = GRID_DEFAULT) -> WallLocus:
     """Sampled solution set of B_t(v) = B_t(w) = 0 inside a parameter box.
 
     The two equations are linear in elementary symmetric coordinates; the
-    affine solution space is sampled, mapped back to root tuples, filtered
-    by the box, and polished by Newton iteration on the root polynomial.
+    affine solution space is sampled, mapped back to root tuples (the roots
+    of the root polynomial, already Newton-polished by root extraction) and
+    filtered by the box.  Each point carries the larger of its two kernel
+    residuals.
     """
     v, w = tuple(v), tuple(w)
     if len(v) != len(w):
@@ -252,9 +255,6 @@ def numerical_wall(v, w, region, grid: int = GRID_DEFAULT) -> WallLocus:
         samples = _affine_samples(part, basis, grid, region)
         for e in samples:
             t = _roots_from_elementary(e, n)
-            if t is None:
-                continue
-            t = _newton_wall(t, v, w)
             if t is None or not _in_box(t, region):
                 continue
             B = reduced_charge(RootTuple(tuple(t)))
@@ -319,39 +319,6 @@ def _roots_from_elementary(e, n):
     if t.has_infinity:
         return None
     return list(map(float, t.entries))
-
-
-def _newton_wall(t, v, w):
-    """Newton polish of the root tuple onto both kernel equations."""
-    import numpy as np
-
-    n = len(t)
-    x = np.array(t, dtype=float)
-    for _ in range(12):
-        B = reduced_charge(RootTuple(tuple(x)))
-        fv = float(eval_charge(B, v))
-        fw = float(eval_charge(B, w))
-        if abs(fv) < NEWTON_TOL and abs(fw) < NEWTON_TOL:
-            break
-        h = 1e-7
-        jac = np.zeros((2, n))
-        for k in range(n):
-            xp = x.copy()
-            xp[k] += h
-            try:
-                Bp = reduced_charge(RootTuple(tuple(xp)))
-            except ValueError:
-                return None
-            jac[0, k] = (float(eval_charge(Bp, v)) - fv) / h
-            jac[1, k] = (float(eval_charge(Bp, w)) - fw) / h
-        try:
-            step, *_ = np.linalg.lstsq(jac, np.array([fv, fw]), rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        x = x - step
-        if not np.all(np.diff(x) > 0):
-            return None
-    return list(x)
 
 
 def _in_box(t, region):

@@ -6,11 +6,11 @@ Run from the repository root:
 
 Each case is one argv; its stdout is stored in ``cli/<name>.<ext>``.  The
 cases are the JSON examples of the README (the reduced selftest report has
-its ``seconds`` fields scrubbed by the CLI), the point-class figure as SVG,
-the exact weights of a four-entry tuple, and a degree-3 restriction whose
-roots go through the exact Newton polish.  ``tests/test_golden.py`` runs
-every case in-process and compares the output byte for byte; it never
-writes the files.
+its ``seconds`` fields scrubbed by the CLI), both figures (the surface figure
+and the point-class figure) as SVG, the exact weights of a four-entry tuple,
+and a degree-3 restriction whose roots go through the exact Newton polish.
+``tests/test_golden.py`` runs every case in-process and compares the output
+byte for byte; it never writes the files.
 """
 
 from pathlib import Path
@@ -29,6 +29,7 @@ CASES = {
                             "--a", "1", "--b", "0"],
     "restrict_xi.json": ["restrict", "xi", "--roots", '["0","2","4"]', "--m", "1"],
     "selftest.json": ["selftest", "--seed", "0"],
+    "walls_plot_figure1.svg": ["walls", "plot", "--figure", "1"],
     "walls_plot_figure4.svg": ["walls", "plot", "--figure", "4", "--m", "2"],
     "charge_weights.json": ["charge", "weights", "--roots", '["-2","1/3","5/2","4"]'],
     "restrict_xi_degree3.json": ["restrict", "xi", "--roots", '["0","2","4","7"]',

@@ -55,3 +55,29 @@ def test_criterion(cid):
 def test_criterion_12():
     result, _ = _run(12)
     assert result["pass"], result["detail"]
+
+
+def _broken(*args, **kwargs):
+    raise TypeError("a bug, not a domain error")
+
+
+@pytest.mark.parametrize("cid", [6, 10])
+def test_unexpected_errors_propagate(cid, monkeypatch):
+    """Criteria record domain errors as failures but let a bug through."""
+    if cid == 6:
+        monkeypatch.setattr(selftest, "q_tilde", _broken)
+        kwargs = {"lines": 2, "members": 10}
+    else:
+        # only xi(xi(t, m), m2) inside the chain fails: its argument is an output
+        real_xi, outputs = selftest.xi, []
+
+        def chained_xi(t, m):
+            if any(t is o for o in outputs):
+                _broken()
+            outputs.append(real_xi(t, m))
+            return outputs[-1]
+
+        monkeypatch.setattr(selftest, "xi", chained_xi)
+        kwargs = {"draws": 20, "push_samples": 1}
+    with pytest.raises(TypeError, match="a bug"):
+        selftest.CRITERIA[cid](**kwargs)

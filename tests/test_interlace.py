@@ -20,6 +20,8 @@ from redstab.interlace import (
     Polynomial,
     RootTuple,
     _newton_polish_exact,
+    _sep_batch,
+    _sep_of_row,
     is_interlaced,
     left_interlaced,
     member_with_root,
@@ -208,6 +210,19 @@ class TestSepPencil:
         line = Pencil(roots_to_poly(RT(0, 2)), roots_to_poly(RT(1, PLUS_INFINITY), 2))
         val = sep_pencil(line)
         assert 0 < val <= 2
+
+    def test_one_degree_drop_rule_for_stack_and_row(self):
+        # the degree-(n-1) member with roots -2, 1, 3 plus a leading term of
+        # 0, 1e-13, 1e-11, 1e-6 and 1 times the largest coefficient
+        low = np.array([float(c) for c in roots_to_poly(RT(-2, 1, 3, PLUS_INFINITY)).coeffs])
+        scale = np.max(np.abs(low))
+        stack = np.array([low + rel * scale * np.eye(5)[4]
+                          for rel in (0.0, 1e-13, 1e-11, 1e-6, 1.0)])
+        seps = _sep_batch(stack)
+        assert list(seps) == [_sep_of_row(row) for row in stack]
+        # the first two drop to the cubic; the 1e-11 row keeps a far fourth root
+        assert seps[0] == seps[1] and abs(seps[0] - 2) < 1e-12
+        assert seps[2] != seps[1] and abs(seps[2] - 2) < 1e-9
 
 
 class TestPencilOps:

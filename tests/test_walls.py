@@ -52,7 +52,7 @@ class TestHilbBounds:
         assert hilb_bounds(4) == (2, 4)
 
     def test_exhaustive_small(self):
-        for m in range(1, 1001):
+        for m in [*range(1, 1001), 12_345, 54_321, 99_999, 100_000]:
             n_val = next(k for k in range(1, 100)
                          if (k + 1) * (k + 2) * (k + 3) > 6 * m)
             m_val = max(k for k in range(1, m + 3)
