@@ -16,6 +16,11 @@ One Gauss-Jordan elimination (``rref``) serves ``solve``, ``inv``,
 ``nullspace``, ``rank`` and ``particular_solution``.  Determinants are
 fraction-free Bareiss and inertia is congruence diagonalization; float input
 falls back to numpy with explicit tolerances.
+
+``integer_scaled`` writes a group of numbers as integers over one common
+denominator.  Exact sums of products (Bareiss rows, exact pairings, kernel
+restrictions, the exact Newton polish) run on those integers and form one
+Fraction at the end, instead of normalizing a Fraction at every step.
 """
 
 from fractions import Fraction
@@ -60,6 +65,19 @@ def coerce(values) -> tuple:
     return tuple(float(x) if is_exact(x) else x for x in values)
 
 
+def integer_scaled(values):
+    """(ints, den) with ints[k] / den == values[k] and den the least common denominator.
+
+    Takes ints, Fractions and floats (a float's denominator is a power of
+    two).  A non-finite float raises as ``Fraction(x)`` does: OverflowError
+    for +-inf, ValueError for NaN.
+    """
+    ratios = [x.as_integer_ratio() if isinstance(x, float) else (x.numerator, x.denominator)
+              for x in values]
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
 def exact_sqrt(x):
     """Square root of a nonnegative exact rational if rational, else None.
 
@@ -86,13 +104,12 @@ def bareiss_det(rows):
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     m = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in fr))
+        ints, den = integer_scaled(row)
         scale *= den
-        m.append([int(x * den) for x in fr])
+        m.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -109,7 +126,7 @@ def bareiss_det(rows):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], 1) / scale
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def det(rows):

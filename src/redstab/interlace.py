@@ -10,8 +10,12 @@ separation of a whole line) implement that calculus.
 Entries and coefficients are coerced to one representation on construction
 (all Fraction, or float; see exact.coerce), so arithmetic on coefficients
 stays exact whenever the inputs are exact.  Root extraction (with Newton
-polishing) and pencil separation are the only float-producing steps; they
-share one solver, _companion_eigvals, and one degree-drop cut, LEAD_ZERO_TOL.
+polishing) and pencil separation are the only float-producing steps.  They
+share one solver, _companion_eigvals, which takes a stack of coefficient
+rows: Polynomial.roots passes one row, member_roots the full-degree members
+of a pencil sample, sep_pencil its angle samples.  They also share one
+degree-drop rule, _effective_degree: leading coefficients at most
+LEAD_ZERO_TOL times the largest one drop one after another.
 """
 
 import math
@@ -30,7 +34,7 @@ from .errors import (
     SearchBudgetExceeded,
     SepTooSmall,
 )
-from .exact import all_exact, coerce, exact_sqrt
+from .exact import all_exact, coerce, exact_sqrt, integer_scaled
 
 PLUS_INFINITY = math.inf
 
@@ -256,9 +260,7 @@ def _newton_polish_exact(coeffs, xs, steps=2):
     D = q^(d-1) f'(p/q) by integer Horner and forms x - f(x)/f'(x) as the
     single fraction (p D - F) / (q D).  Denominators are capped between steps.
     """
-    coeffs = [Fraction(c) for c in coeffs]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    ints, _ = integer_scaled(coeffs)
     deg = len(ints) - 1
     out = []
     for x in xs:
@@ -281,13 +283,9 @@ def _newton_polish_exact(coeffs, xs, steps=2):
 def _extract_roots(f: Polynomial) -> RootTuple:
     deg = f.degree
     if not all_exact(f.coeffs):
-        # effective degree: a float leading coefficient that is negligible
-        # against the coefficient scale marks the degree-drop member
-        scale = max(abs(float(c)) for c in f.coeffs) or 1.0
-        if deg == f.ambient and abs(float(f.coeffs[deg])) <= LEAD_ZERO_TOL * scale:
-            deg -= 1
-            if abs(float(f.coeffs[deg])) <= LEAD_ZERO_TOL * scale:
-                raise NotDistinctRoots("two vanishing leading coefficients")
+        deg = _effective_degree([float(c) for c in f.coeffs])
+        if deg < f.ambient - 1:
+            raise NotDistinctRoots("two vanishing leading coefficients")
     coeffs = f.coeffs[: deg + 1]
     # low degrees solve in closed form, exactly when the data allows
     if deg == 0:
@@ -316,27 +314,84 @@ def _extract_roots(f: Polynomial) -> RootTuple:
         sq = math.sqrt(disc)
         r1 = (-float(c1) - sq) / (2 * float(c2))
         r2 = (-float(c1) + sq) / (2 * float(c2))
-        return _finish_float_roots(f, [r1, r2])
-    fcoeffs = [float(c) for c in coeffs]
-    eig = _companion_eigvals(np.array([fcoeffs]))[0]
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    if float(np.max(np.abs(eig.imag))) > ROOT_IMAG_TOL * scale:
+        return _pad_inf(_distinct_sorted([r1, r2]), f.ambient)
+    (roots,) = _polished_eigvals(np.array([[float(c) for c in coeffs]]))
+    if roots is None:
         raise ComplexRoots(f"imaginary part above {ROOT_IMAG_TOL} relative")
-    dcoeffs = [k * c for k, c in enumerate(fcoeffs)][1:]
-    roots = [_newton_polish(fcoeffs, dcoeffs, float(x)) for x in eig.real]
     if all_exact(coeffs):
         roots = _newton_polish_exact(coeffs, roots)
-    return _finish_float_roots(f, roots)
+    return _pad_inf(_distinct_sorted(roots), f.ambient)
 
 
-def _finish_float_roots(f, roots):
+def member_roots(rows, ambient) -> list:
+    """Certified roots of float members of one ambient, given as coefficient lists.
+
+    Per row, the entries Polynomial(row, ambient).roots() certifies (+inf
+    last on a degree drop), or None where it raises ComplexRoots or
+    NotDistinctRoots.  Rows of full degree above 2 are solved as one stack
+    by _polished_eigvals; the others go through Polynomial.roots().
+    """
+    out = [None] * len(rows)
+    full = []
+    for i, row in enumerate(rows):
+        if ambient > 2 and _effective_degree(row) == ambient:
+            full.append(i)
+            continue
+        try:
+            out[i] = Polynomial(tuple(row), ambient).roots().entries
+        except (ComplexRoots, NotDistinctRoots):
+            pass
+    if full:
+        for i, roots in zip(full, _polished_eigvals(np.array([rows[i] for i in full]))):
+            if roots is not None:
+                try:
+                    out[i] = _distinct_sorted(roots)
+                except NotDistinctRoots:
+                    pass
+    return out
+
+
+def _effective_degree(row) -> int:
+    """Degree of a float coefficient row under the one degree-drop rule.
+
+    Leading coefficients at most LEAD_ZERO_TOL times the largest |coefficient|
+    drop one by one, so an exact zero and a negligible lead count alike.
+    """
+    scale = max(map(abs, row))
+    deg = len(row) - 1
+    while deg > 0 and abs(row[deg]) <= LEAD_ZERO_TOL * scale:
+        deg -= 1
+    return deg
+
+
+def _polished_eigvals(rows) -> list:
+    """Newton-polished real eigenvalues of a stack of full-degree float rows.
+
+    Per row, the real parts of its _companion_eigvals after _newton_polish,
+    or None when an imaginary part exceeds ROOT_IMAG_TOL relative to
+    max(1, largest |eigenvalue|).  Each row is treated on its own, so a row
+    gets the same answer alone as inside a stack.
+    """
+    out = []
+    for row, eig in zip(rows.tolist(), _companion_eigvals(rows)):
+        scale = max(1.0, float(np.max(np.abs(eig))))
+        if float(np.max(np.abs(eig.imag))) > ROOT_IMAG_TOL * scale:
+            out.append(None)
+            continue
+        drow = [k * c for k, c in enumerate(row)][1:]
+        out.append([_newton_polish(row, drow, float(x)) for x in eig.real])
+    return out
+
+
+def _distinct_sorted(roots) -> tuple:
+    """The roots in increasing order; NotDistinctRoots for a gap below tolerance."""
     roots = sorted(roots)
     spread = max(roots) - min(roots) if len(roots) > 1 else 0.0
     tol = ROOT_DISTINCT_TOL * max(spread, 1.0)
     for a, b in zip(roots, roots[1:]):
         if b - a < tol:
             raise NotDistinctRoots(f"roots {a} and {b} within tolerance {tol}")
-    return _pad_inf(tuple(roots), f.ambient)
+    return tuple(roots)
 
 
 def _pad_inf(finite, ambient):
@@ -353,7 +408,8 @@ def _companion_eigvals(rows):
     Each row is ascending, of one common degree d = len(row) - 1 and with a
     nonzero leading coefficient; the result has shape (len(rows), d).  This is
     the only float root solver: LAPACK solves each matrix of the stack on its
-    own, so a row gives the same eigenvalues alone as inside a batch.
+    own, so a row gives the same eigenvalues alone as inside a batch (numpy
+    returns a real array when every eigenvalue of the stack is real).
     """
     m, d = rows.shape[0], rows.shape[1] - 1
     comp = np.zeros((m, d, d))
@@ -536,14 +592,8 @@ def _sep_batch(rows):
 
 
 def _sep_of_row(row) -> float:
-    """Root separation of one coefficient row; +inf below two roots.
-
-    Leading coefficients are dropped by the LEAD_ZERO_TOL rule of _sep_batch.
-    """
-    deg = len(row) - 1
-    scale = np.max(np.abs(row))
-    while deg > 1 and abs(row[deg]) <= LEAD_ZERO_TOL * scale:
-        deg -= 1
+    """Root separation of one coefficient row; +inf below two roots."""
+    deg = _effective_degree(row)
     if deg < 2:
         return math.inf
     return float(_min_gaps(_companion_eigvals(row[None, : deg + 1]))[0])

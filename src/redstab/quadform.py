@@ -8,7 +8,11 @@ kernel.  The inductive form adds a large multiple of the line form to the
 definite; the weight is found by doubling and certified by re-verification.
 The doubling ladder reuses the line's data (kernel basis, member roots and
 their gamma vectors, degree-drop member) on every rung of a level, and
-pairs all sampled members in one batch.
+pairs all sampled members in one batch.  That record is kept on the Pencil
+object per sample count, so verify_support(q_tilde(l), l) builds the top
+level once; the member roots are solved as one stack (interlace.member_roots).
+Exact fallbacks of the pairings and kernel restrictions of an exact form sum
+on integers over one common denominator (exact.integer_scaled).
 
 Vanishing of an exact form on the twisted curve is proved on the whole
 curve, +inf included, by the coefficient identity: Q(gamma(t)) is the
@@ -30,10 +34,8 @@ from .charge import CentralCharge, ReducedCharge, charge_of_poly, gamma
 from .errors import (
     AlphaSearchFailed,
     AssumptionViolated,
-    ComplexRoots,
     InvalidAmbient,
     InvariantViolated,
-    NotDistinctRoots,
     SingularForm,
     WrongSignature,
 )
@@ -41,6 +43,7 @@ from .exact import (
     all_exact,
     coerce,
     inertia,
+    integer_scaled,
     inv,
     is_negative_definite,
     mat_mul,
@@ -50,7 +53,7 @@ from .exact import (
 from .interlace import (
     PLUS_INFINITY,
     Pencil,
-    Polynomial,
+    member_roots,
     pencil_canonical,
     pencil_project,
     poly_eval,
@@ -123,12 +126,19 @@ class QuadraticForm:
         return total, abssum
 
     def pair_exact(self, u, v):
-        """Pairing with every input promoted to an exact rational."""
-        uf = [Fraction(x) for x in u]
-        vf = [Fraction(x) for x in v]
-        gf = [[Fraction(x) for x in row] for row in self.gram]
-        return sum(uf[i] * sum(gf[i][j] * vf[j] for j in range(self.dim))
-                   for i in range(self.dim))
+        """Pairing with every input promoted to an exact rational.
+
+        u, v and the Gram matrix are each scaled to integers over one
+        common denominator (exact.integer_scaled), so the sum runs on ints
+        and one Fraction is formed at the end.
+        """
+        ui, du = integer_scaled(u)
+        vi, dv = integer_scaled(v)
+        gi, dg = integer_scaled(x for row in self.gram for x in row)
+        dim = self.dim
+        total = sum(ui[i] * sum(g * y for g, y in zip(gi[i * dim:(i + 1) * dim], vi))
+                    for i in range(dim) if ui[i])
+        return Fraction(total, du * dv * dg)
 
     def is_exact(self) -> bool:
         return all(all_exact(row) for row in self.gram)
@@ -199,15 +209,26 @@ def kernel_of_line(l: Pencil):
 
 
 def _restricted_gram(Q: QuadraticForm, basis):
-    """Exact Gram matrix [[Q.pair(u, v)]] of Q on the span of an exact basis.
+    """Gram matrix [[Q.pair(u, v)]] of Q on the span of an exact basis.
 
     Kernel bases from ``nullspace`` are mostly zeros, so zero terms are
-    skipped; the values are Q.pair's.
+    skipped.  An exact form and each basis vector are scaled to integers
+    once (exact.integer_scaled) and every entry is one Fraction; a float
+    form keeps its float sums.
     """
-    images = [[sum((g * x for g, x in zip(row, v) if g and x), Fraction(0))
-               for row in Q.gram] for v in basis]
-    return [[sum((x * y for x, y in zip(u, w) if x and y), Fraction(0))
-             for w in images] for u in basis]
+    if not Q.is_exact():
+        images = [[sum((g * x for g, x in zip(row, v) if g and x), Fraction(0))
+                   for row in Q.gram] for v in basis]
+        return [[sum((x * y for x, y in zip(u, w) if x and y), Fraction(0))
+                 for w in images] for u in basis]
+    gi, dg = integer_scaled(x for row in Q.gram for x in row)
+    dim = Q.dim
+    grows = [gi[i * dim:(i + 1) * dim] for i in range(dim)]
+    scaled = [integer_scaled(v) for v in basis]
+    images = [([sum(g * x for g, x in zip(row, vi) if g and x) for row in grows], dg * dv)
+              for vi, dv in scaled]
+    return [[Fraction(sum(x * y for x, y in zip(ui, wi) if x and y), du * dw)
+             for wi, dw in images] for ui, du in scaled]
 
 
 @dataclass
@@ -242,6 +263,18 @@ class _LineData:
 
 
 def _line_data(l: Pencil, samples: int) -> _LineData:
+    """The line's _LineData for ``samples`` members, built once per Pencil object.
+
+    The record is memoised on the instance, as Polynomial keeps its roots, so
+    verify_support(Q, l) after q_tilde(l) reuses the top level's members.
+    """
+    memo = vars(l).setdefault("_line_data", {})
+    if samples not in memo:
+        memo[samples] = _build_line_data(l, samples)
+    return memo[samples]
+
+
+def _build_line_data(l: Pencil, samples: int) -> _LineData:
     n = l.ambient
     gen_roots = [abs(float(x)) for x in l.gen_a.roots().finite] + \
                 [abs(float(x)) for x in l.gen_b.roots().finite]
@@ -249,19 +282,17 @@ def _line_data(l: Pencil, samples: int) -> _LineData:
     # Pencil.member's coefficients: a Fraction times a float is the float
     # product, so the generators are converted to float once per line
     pairs = [(float(a), float(b)) for a, b in zip(l.gen_a.coeffs, l.gen_b.coeffs)]
+    thetas = [math.pi * (k + 0.5) / samples for k in range(samples)]
+    rows = [[c * a + s * b for a, b in pairs]
+            for c, s in ((math.cos(theta), math.sin(theta)) for theta in thetas)]
     members = []
-    for k in range(samples):
-        theta = math.pi * (k + 0.5) / samples
-        c, s = math.cos(theta), math.sin(theta)
-        member = Polynomial(tuple(c * a + s * b for a, b in pairs), n)
-        try:
-            roots = member.roots()
-        except (ComplexRoots, NotDistinctRoots):
+    for theta, roots in zip(thetas, member_roots(rows, n)):
+        if roots is None:
             members.append((theta, None))
             continue
-        if roots.has_infinity:
+        if roots[-1] == PLUS_INFINITY:
             continue
-        if max(abs(float(x)) for x in roots.finite) > root_cap:
+        if max(abs(x) for x in roots) > root_cap:
             # member within float noise of the degree-drop point; the
             # degree-drop member's pairings against gamma(+inf) cover it
             continue

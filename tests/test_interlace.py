@@ -19,11 +19,15 @@ from redstab.interlace import (
     Pencil,
     Polynomial,
     RootTuple,
+    _companion_eigvals,
+    _effective_degree,
     _newton_polish_exact,
+    _polished_eigvals,
     _sep_batch,
     _sep_of_row,
     is_interlaced,
     left_interlaced,
+    member_roots,
     member_with_root,
     pencil_canonical,
     pencil_project,
@@ -90,6 +94,16 @@ class TestRootsPoly:
         with pytest.raises(NotDistinctRoots):
             poly_to_roots(Polynomial((1, -2, 1), 2))
 
+    def test_zero_lead_and_negligible_next_coefficient_drop_twice(self):
+        # an exact zero lead drops like a negligible one, so both rows lose
+        # two degrees and are rejected, as _sep_of_row already treats them
+        for lead in (0.0, 1e-300):
+            row = (-2.0, 1.0, 1e-14, lead)
+            assert _effective_degree(row) == 1
+            assert _sep_of_row(np.array(row)) == math.inf
+            with pytest.raises(NotDistinctRoots):
+                Polynomial(row, 3).roots()
+
     @given(st.lists(st.integers(-40, 40), min_size=2, max_size=5, unique=True))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_identity(self, vals):
@@ -126,6 +140,55 @@ class TestExactPolish:
             xs = sorted(np.roots([float(c) for c in reversed(coeffs)]).real)
             assert _newton_polish_exact(coeffs, xs) == [
                 newton_polish_fraction(coeffs, x) for x in xs]
+
+
+class TestMemberRoots:
+    @staticmethod
+    def _rows():
+        """Seeded float members n = 2..6: interlaced, non-interlaced, near the drop."""
+        rng = random.Random(6)
+        for n in range(2, 7):
+            for case in range(6):
+                a = roots_to_poly(RT(*sorted(F(x, 2) for x in rng.sample(range(-30, 30), n))))
+                b = roots_to_poly(RT(*sorted(F(x, 3) for x in rng.sample(range(-30, 30), n))))
+                # leads c + s * (1 + eps): the member at theta = 3 pi / 4 sits
+                # at, or 1e-13 .. 1e-6 away from, the degree drop
+                eps = (0, 0, F(1, 10 ** 13), F(1, 10 ** 11), F(1, 10 ** 9), F(1, 10 ** 6))[case]
+                pairs = [(float(x), float(y * (1 + eps))) for x, y in zip(a.coeffs, b.coeffs)]
+                for k in range(40):
+                    theta = math.pi * (k + 0.5) / 40 if k else 0.75 * math.pi
+                    c, s = math.cos(theta), math.sin(theta)
+                    yield n, [c * x + s * y for x, y in pairs]
+
+    def test_equal_to_polynomial_roots(self):
+        by_n = {}
+        for n, row in self._rows():
+            by_n.setdefault(n, []).append(row)
+        kinds = set()
+        for n, rows in by_n.items():
+            for row, got in zip(rows, member_roots(rows, n)):
+                try:
+                    want = Polynomial(tuple(row), n).roots().entries
+                except (ComplexRoots, NotDistinctRoots):
+                    want = None
+                assert got == want
+                assert want is None or all(type(x) is float for x in got)
+                kinds.add("uncertified" if want is None else
+                          "drop" if want[-1] == PLUS_INFINITY else "full")
+        assert kinds == {"uncertified", "drop", "full"}
+
+    def test_row_alone_equals_row_in_stack(self):
+        rows = [row for n, row in self._rows() if n == 5 and _effective_degree(row) == 5]
+        stack = np.array(rows)
+        eig = _companion_eigvals(stack)
+        polished = _polished_eigvals(stack)
+        assert any(p is None for p in polished) and any(p is not None for p in polished)
+        for i, row in enumerate(rows):
+            alone = np.array([row])
+            # numpy returns a real array when every eigenvalue is real
+            got = _companion_eigvals(alone)[0].astype(complex)
+            assert got.tobytes() == eig[i].astype(complex).tobytes()
+            assert _polished_eigvals(alone) == [polished[i]]
 
 
 class TestInterlaced:

@@ -1,11 +1,20 @@
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from redstab.charge import CentralCharge, ReducedCharge, eval_charge, gamma, reduced_charge
 from redstab import quadform
-from redstab.errors import AssumptionViolated, InvariantViolated, SingularForm, WrongSignature
+from redstab.errors import (
+    AssumptionViolated,
+    ComplexRoots,
+    InvariantViolated,
+    NotDistinctRoots,
+    SingularForm,
+    WrongSignature,
+)
 from redstab.exact import is_negative_definite, nullspace
 from redstab.interlace import PLUS_INFINITY, Pencil, Polynomial, RootTuple, roots_to_poly
 from redstab.quadform import (
@@ -211,6 +220,133 @@ class TestVerifySupport:
                                       for i in range(dim)))
             with pytest.raises(ValueError, match="vector length mismatch"):
                 verify_support(eye, surface_line())
+
+
+class TestLineData:
+    @staticmethod
+    def _lines():
+        """Seeded lines n = 2..6: interlaced, not interlaced, near the degree drop."""
+        rng = random.Random(8)
+        for n in range(2, 7):
+            for case in range(4):
+                xs = rng.sample(range(-24, 24), 2 * n)
+                if case < 2:
+                    xs.sort()
+                a = roots_to_poly(RT(*sorted(F(x, 2) for x in xs[0::2])))
+                b = roots_to_poly(RT(*sorted(F(x, 2) for x in xs[1::2])))
+                if case % 2:
+                    # the member at theta = 3 pi / 4 keeps a lead of about 1e-11
+                    b = b.scaled(1 + F(1, 10 ** 11))
+                yield Pencil(a, b, strict=case < 2)
+
+    @staticmethod
+    def _reference_members(l, samples):
+        """One Polynomial(...).roots() per sampled member, with charge.gamma."""
+        n = l.ambient
+        gen_roots = [abs(float(x)) for x in l.gen_a.roots().finite + l.gen_b.roots().finite]
+        root_cap = 1e7 * (1.0 + max(gen_roots, default=1.0))
+        pairs = [(float(a), float(b)) for a, b in zip(l.gen_a.coeffs, l.gen_b.coeffs)]
+        members = []
+        for k in range(samples):
+            theta = math.pi * (k + 0.5) / samples
+            c, s = math.cos(theta), math.sin(theta)
+            try:
+                roots = Polynomial(tuple(c * a + s * b for a, b in pairs), n).roots()
+            except (ComplexRoots, NotDistinctRoots):
+                members.append((theta, None))
+                continue
+            if roots.has_infinity or max(abs(x) for x in roots) > root_cap:
+                continue
+            members.append((theta, [gamma(t, n) for t in roots]))
+        return members
+
+    def test_batched_members_equal_per_member_roots(self):
+        uncertified = 0
+        for line in self._lines():
+            try:
+                data = quadform._build_line_data(line, 50)
+            except ComplexRoots:    # a non-interlaced line's canonical member
+                continue
+            want = self._reference_members(line, 50)
+            assert data.members == want
+            rooted = [gam for _, gam in want if gam is not None]
+            ref_stack = np.array(rooted, dtype=float).reshape(len(rooted), line.ambient,
+                                                              line.ambient + 1)
+            assert data.stack.tobytes() == ref_stack.tobytes()
+            uncertified += sum(gam is None for _, gam in want)
+        assert uncertified > 0
+
+    def test_top_level_built_once(self, monkeypatch):
+        built = []
+        build = quadform._build_line_data
+
+        def counting(l, samples):
+            built.append(l.ambient)
+            return build(l, samples)
+
+        monkeypatch.setattr(quadform, "_build_line_data", counting)
+        s, t = RT(F(0), F(2), F(4), F(6)), RT(F(1), F(3), F(5), F(7))
+        line = Pencil.from_tuples(s, t)
+        Q = q_tilde(line)
+        rep = verify_support(Q, line)
+        assert built == [2, 3, 4]
+        assert rep == verify_support(Q, Pencil.from_tuples(s, t))
+        assert built == [2, 3, 4, 4]
+
+
+class TestExactPairing:
+    SPECIAL = (1e-300, 1e300, 5e-324, 2.5e-310, -0.0, 0.1, -7.25)
+
+    @staticmethod
+    def _exact(Q):
+        return QuadraticForm(tuple(tuple(F(x) for x in row) for row in Q.gram))
+
+    def _forms(self, rng):
+        """Symmetric exact Gram matrices, and float ones with extreme entries."""
+        exact = (F(1, 3 ** 40), F(1e-300), F(5e-324), F(0))
+        for n in range(1, 6):
+            for kind in (exact, self.SPECIAL) * 4:
+                g = [[None] * (n + 1) for _ in range(n + 1)]
+                for i in range(n + 1):
+                    for j in range(i, n + 1):
+                        g[i][j] = g[j][i] = rng.choice(
+                            kind + (F(rng.randint(-9, 9), rng.randint(1, 12)),))
+                yield QuadraticForm(tuple(map(tuple, g)))
+
+    def test_pair_exact_equals_fraction_pairing(self):
+        rng = random.Random(9)
+        for Q in self._forms(rng):
+            for _ in range(6):
+                u, v = ([rng.choice(self.SPECIAL + (F(rng.randint(-9, 9), 7), 3))
+                         for _ in range(Q.dim)] for _ in range(2))
+                got = Q.pair_exact(u, v)
+                want = self._exact(Q).pair([F(x) for x in u], [F(x) for x in v])
+                assert type(got) is F and got == want and str(got) == str(want)
+
+    def test_restricted_gram_equals_fraction_pairing(self):
+        rng = random.Random(10)
+        for Q in self._forms(rng):
+            if not Q.is_exact():
+                continue
+            rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(Q.dim)]
+                    for _ in range(min(2, Q.dim - 1))]
+            for basis in (nullspace(rows, Q.dim),
+                          [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(Q.dim)]
+                           for _ in range(3)]):
+                got = quadform._restricted_gram(Q, basis)
+                want = [[Q.pair(u, v) for v in basis] for u in basis]
+                assert got == want and str(got) == str(want)
+
+    def test_non_finite_inputs_raise_as_fraction_does(self):
+        inf_form = QuadraticForm(((math.inf, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        with pytest.raises(OverflowError):
+            inf_form.pair_exact((1, 2, 3), (1, 2, 3))
+        for bad, error in ((math.inf, OverflowError), (-math.inf, OverflowError),
+                           (math.nan, ValueError)):
+            with pytest.raises(error):
+                DELTA2.pair_exact((1.0, bad, 0.0), (1, 2, 3))
+            with pytest.raises(error):
+                DELTA2.pair_exact((1, 2, 3), (bad, 0.0, 1.0))
 
 
 class TestDualForm:
