@@ -29,7 +29,7 @@ from .errors import (
     NotDistinctRoots,
     NotInKernel,
 )
-from .exact import all_exact, coerce, solve
+from .exact import all_exact, coerce, integer_scaled, solve
 from .interlace import (
     PLUS_INFINITY,
     Pencil,
@@ -136,11 +136,17 @@ def charge_of_poly(f: Polynomial) -> ReducedCharge:
     (Fraction 0, or the float 0.0; never -0.0).
     """
     n, top = f.ambient, f.degree
-    *coeffs, scale = coerce(f.coeffs[: top + 1] + (Fraction(1, math.factorial(top)),))
-    if top < n:
-        scale = -scale
+    coeffs = f.coeffs[: top + 1]
+    sign = -1 if top < n else 1
+    if all_exact(coeffs):
+        # coefficients N_k / D: weight k is sign k! N_k / (top! D), one Fraction each
+        ints, den = integer_scaled(coeffs)
+        den *= sign * math.factorial(top)
+        weights = tuple(Fraction(math.factorial(k) * p, den) for k, p in enumerate(ints))
+        return ReducedCharge(weights + (Fraction(0),) * (n - top))
+    scale = sign * (1 / math.factorial(top))
     weights = tuple(scale * math.factorial(k) * c for k, c in enumerate(coeffs))
-    return ReducedCharge(weights + (0,) * (n - top))
+    return ReducedCharge(weights + (0.0,) * (n - top))
 
 
 def poly_of_charge(B: ReducedCharge) -> Polynomial:

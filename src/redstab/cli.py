@@ -2,7 +2,11 @@
 
 Verb families mirror the library modules; payloads are JSON (arrays of exact
 rational strings, "inf" for the infinite slot).  Exit codes: 0 success, 1
-domain error (typed error name in the JSON document), 2 usage error.  Output
+domain error (typed error name in the JSON document; OverflowError names an
+exact input beyond the float range in a float step, and an unexpected
+exception is reported as "InternalError"), 2 usage error (a "UsageError"
+document on stdout, the usage line on stderr).  Every run prints one
+document.  Output
 bytes are deterministic for fixed argv and seed: sorted keys, fixed float
 formatting, no timestamps (volatile timing fields are scrubbed).
 """
@@ -213,15 +217,16 @@ def cmd_geom_family(args):
 
 
 def _ns_vector(lat, text):
-    data = json.loads(text)
-    return NSVector(serialize.number_from_str(data[0]),
-                    tuple(serialize.number_from_str(x) for x in data[1]),
+    data = serialize.array_from_json(json.loads(text))
+    if len(data) != 3:
+        raise ValueError(f"expected [r, [D...], s], got {data!r}")
+    return NSVector(serialize.number_from_str(data[0]), serialize.vector_from_json(data[1]),
                     serialize.number_from_str(data[2]), lat)
 
 
 def cmd_geom_ab(args):
-    lat = NSLattice(tuple(tuple(serialize.number_from_str(x) for x in row)
-                          for row in json.loads(args.gram)))
+    lat = NSLattice(tuple(serialize.vector_from_json(row)
+                          for row in serialize.array_from_json(json.loads(args.gram))))
     v = _ns_vector(lat, args.v)
     if args.verb == "ab-delta":
         if args.w:
@@ -230,17 +235,15 @@ def cmd_geom_ab(args):
             val = ab_delta(v)
         return _emit({"result": {"delta": N2S(val)}, "mode": serialize.mode_of((val,))}, args)
     if args.verb == "ab-twist":
-        tw = ab_twist(v, tuple(serialize.number_from_str(x) for x in json.loads(args.G)))
+        tw = ab_twist(v, _parse_vec(args.G))
         return _emit({"result": {"twisted": [N2S(tw.r), [N2S(x) for x in tw.D], N2S(tw.s)]}}, args)
     if args.verb == "ab-negdef":
         return _emit({"result": {"holds": criterion_neg_def(v, _ns_vector(lat, args.w))}}, args)
     if args.verb == "ab-bayer":
-        g = tuple(serialize.number_from_str(x) for x in json.loads(args.G))
-        return _emit({"result": {"holds": criterion_bayer_step(v, g)}}, args)
+        return _emit({"result": {"holds": criterion_bayer_step(v, _parse_vec(args.G))}}, args)
     if args.verb == "ab-restrict":
-        h = tuple(serialize.number_from_str(x) for x in json.loads(args.H))
         return _emit({"result": {"holds": criterion_restrict(
-            v, _ns_vector(lat, args.w), h)}}, args)
+            v, _ns_vector(lat, args.w), _parse_vec(args.H))}}, args)
     raise RedstabError(f"unknown ab verb {args.verb}")
 
 
@@ -300,7 +303,7 @@ def cmd_restrict_xi(args):
 
 
 def cmd_restrict_chain(args):
-    degrees = tuple(serialize.number_from_str(x) for x in json.loads(args.spec))
+    degrees = _parse_vec(args.spec)
     t = _parse_roots(args.roots)
     out = xi_multi(t, RestrictionSpec(degrees, t.n))
     return _emit({"result": {"roots": serialize.roots_to_json(out)},
@@ -346,7 +349,7 @@ def cmd_selftest(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="redstab", description=__doc__)
+    ap = _Parser(prog="redstab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -466,11 +469,27 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (RedstabError, ValueError, KeyError) as exc:
-        doc = {"error": type(exc).__name__, "message": str(exc),
-               "config": _config_echo(args)}
-        sys.stdout.write(json.dumps(doc, sort_keys=True, default=str) + "\n")
-        return 1
+    except (RedstabError, ValueError, KeyError, OverflowError) as exc:
+        return _error_doc(type(exc).__name__, str(exc), _config_echo(args))
+    except Exception as exc:  # a bug: still one document, typed as internal
+        return _error_doc("InternalError", f"{type(exc).__name__}: {exc}", _config_echo(args))
+
+
+def _error_doc(name, message, config):
+    doc = {"error": name, "message": message}
+    if config is not None:
+        doc["config"] = config
+    sys.stdout.write(json.dumps(doc, sort_keys=True, default=str) + "\n")
+    return 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors print one JSON document before exiting with 2."""
+
+    def error(self, message):
+        _error_doc("UsageError", message, None)
+        self.print_usage(sys.stderr)
+        self.exit(2)
 
 
 def run_capture(argv):

@@ -12,25 +12,28 @@ and a float on float data.  A constant that must follow the data joins its
 group, ``*xs, c = coerce(xs + (Fraction(1, 6),))``; ``Fraction(1, 2) * x``
 needs no such step, since a Fraction times a float is a float.
 
-One Gauss-Jordan elimination (``rref``) serves ``solve``, ``inv``,
-``nullspace``, ``rank`` and ``particular_solution``.  Determinants are
-fraction-free Bareiss and inertia is congruence diagonalization; float input
-falls back to numpy with explicit tolerances.
+One Gauss-Jordan elimination (``rref``, on integer rows, Fraction output)
+serves ``solve``, ``inv``, ``nullspace``, ``rank`` and
+``particular_solution``.  Determinants are fraction-free Bareiss and inertia
+is congruence diagonalization; float input falls back to numpy with explicit
+tolerances.
 
 ``integer_scaled`` writes a group of numbers as integers over one common
-denominator.  Exact sums of products (Bareiss rows, exact pairings, kernel
-restrictions, the exact Newton polish) run on those integers and form one
-Fraction at the end, instead of normalizing a Fraction at every step.
+denominator.  Exact sums of products (Bareiss and rref rows, exact pairings,
+kernel restrictions, the exact Newton polish, the kernels of redstab.poly)
+run on those integers and form one Fraction at the end, instead of
+normalizing a Fraction at every step.
 """
 
 from fractions import Fraction
-from math import inf, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 
 import numpy as np
 
 from .errors import SingularForm
 
 FLOAT_EIG_MARGIN = 1e-10  # definiteness margin for the float fallback
+_ZERO = Fraction(0)
 
 
 def is_exact(x) -> bool:
@@ -137,12 +140,22 @@ def det(rows):
 
 
 def rref(rows, width=None):
-    """Gauss-Jordan elimination over Fractions: (reduced rows, pivot columns).
+    """Gauss-Jordan elimination: (reduced rows, pivot columns), as Fractions.
 
     Pivots are sought in the first ``width`` columns (all of them by
     default); further columns, such as a right-hand side, are carried along.
+    Each row is scaled to integers once (integer_scaled), updated
+    fraction-free as pivot * row - row[col] * pivot_row and divided by the
+    gcd of its entries.  A row keeps the factor num / den back to its value
+    under elimination over Fractions, so the result is that elimination's,
+    rows past the rank included.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m, num, den = [], [], []
+    for row in rows:
+        ints, d = integer_scaled(row)
+        m.append(ints)
+        num.append(1)
+        den.append(d)
     if width is None:
         width = len(m[0]) if m else 0
     pivots = []
@@ -150,18 +163,28 @@ def rref(rows, width=None):
         r = len(pivots)
         if r == len(m):
             break
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        for lst in (m, num, den):
+            lst[r], lst[piv] = lst[piv], lst[r]
+        prow = m[r]
+        pv = prow[col]
+        for i, row in enumerate(m):
+            f = row[col]
+            if i == r or not f:
+                continue
+            row = [pv * x - f * y for x, y in zip(row, prow)]
+            g = gcd(*row) or 1
+            m[i] = [x // g for x in row] if g > 1 else row
+            num[i] *= g
+            den[i] *= pv
         pivots.append(col)
-    return m, pivots
+    rank = len(pivots)
+    out = [[Fraction(x, row[col]) if x else _ZERO for x in row] for row, col in zip(m, pivots)]
+    out += [[Fraction(x * p, q) if x else _ZERO for x in row]
+            for row, p, q in zip(m[rank:], num[rank:], den[rank:])]
+    return out, pivots
 
 
 def solve(a_rows, b):

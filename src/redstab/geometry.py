@@ -399,6 +399,14 @@ def _same_lattice(*vs):
     return lat
 
 
+def _lattice_class(lat: NSLattice, G) -> tuple:
+    """A class on the lattice as a tuple; LatticeMismatch for another length."""
+    G = tuple(G)
+    if len(G) != lat.rho:
+        raise LatticeMismatch("class length does not match the lattice rank")
+    return G
+
+
 def ab_delta(v: NSVector, w: NSVector | None = None):
     """Discriminant pairing D D' - r s' - r' s (quadratic value when w is None)."""
     if w is None:
@@ -410,9 +418,7 @@ def ab_delta(v: NSVector, w: NSVector | None = None):
 def ab_twist(v: NSVector, G) -> NSVector:
     """Line-bundle twist (r, D + rG, s + DG + r G^2/2); preserves ab_delta."""
     lat = v.lattice
-    G = tuple(G)
-    if len(G) != lat.rho:
-        raise LatticeMismatch("twist class length does not match the lattice")
+    G = _lattice_class(lat, G)
     newD = tuple(d + v.r * g for d, g in zip(v.D, G))
     news = v.s + lat.dot(v.D, G) + Fraction(1, 2) * v.r * lat.dot(G, G)
     return NSVector(v.r, newD, news, lat)
@@ -425,7 +431,8 @@ def criterion_neg_def(v: NSVector, w: NSVector) -> bool:
 
 def criterion_bayer_step(v: NSVector, G) -> bool:
     """Twist-step criterion 0 < r^2 G^2 < 4 delta(v)."""
-    g2 = v.lattice.dot(tuple(G), tuple(G))
+    G = _lattice_class(v.lattice, G)
+    g2 = v.lattice.dot(G, G)
     val = v.r * v.r * g2
     return 0 < val < 4 * ab_delta(v)
 
@@ -436,7 +443,7 @@ def criterion_restrict(v: NSVector, w: NSVector, H) -> bool:
     Follows the rank convention v = (1, D1, s1), w = (0, D2, s2).
     """
     lat = _same_lattice(v, w)
-    H = tuple(H)
+    H = _lattice_class(lat, H)
     h2 = lat.dot(H, H)
     d22 = lat.dot(w.D, w.D)
     d1d2 = lat.dot(v.D, w.D)

@@ -9,7 +9,9 @@ separation of a whole line) implement that calculus.
 
 Entries and coefficients are coerced to one representation on construction
 (all Fraction, or float; see exact.coerce), so arithmetic on coefficients
-stays exact whenever the inputs are exact.  Root extraction (with Newton
+stays exact whenever the inputs are exact.  Coefficient arithmetic, the root
+polynomial of roots_to_poly included, is redstab.poly's; its helpers are
+also importable from here.  Root extraction (with Newton
 polishing) and pencil separation are the only float-producing steps.  They
 share one solver, _companion_eigvals, which takes a stack of coefficient
 rows: Polynomial.roots passes one row, member_roots the full-degree members
@@ -35,6 +37,15 @@ from .errors import (
     SepTooSmall,
 )
 from .exact import all_exact, coerce, exact_sqrt, integer_scaled
+from .poly import (
+    poly_add,
+    poly_derivative,
+    poly_eval,
+    poly_from_roots,
+    poly_mul,
+    poly_scale,
+    poly_shift_arg,
+)
 
 PLUS_INFINITY = math.inf
 
@@ -44,52 +55,6 @@ LEAD_ZERO_TOL = 1e-12      # float lead <= this * largest |coeff| drops the degr
 SEP_ANGLES = 720           # uniform pencil angles before refinement
 SEP_REFINE_TOL = 1e-10     # golden-section window width on the angle
 SHIFT_BUDGET = 60          # doublings of the stabilizing shift
-
-
-# ---------------------------------------------------------------------------
-# coefficient helpers (ascending order, index k = coefficient of x^k)
-
-def poly_eval(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def poly_scale(a, c):
-    return tuple(c * x for x in a)
-
-
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def poly_shift_arg(coeffs, m):
-    """Coefficients of p(x + m); exact when inputs are exact."""
-    out = (coeffs[-1],)
-    for c in reversed(coeffs[:-1]):
-        out = poly_add(poly_mul(out, (m, 1)), (c,))
-    return out
-
-
-def poly_derivative(coeffs):
-    return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0,)
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -234,11 +199,9 @@ def roots_to_poly(t: RootTuple, ambient=None) -> Polynomial:
     n = t.n if ambient is None else ambient
     if n < t.n:
         raise ValueError("ambient below tuple length")
-    coeffs = (1,)
-    for r in t.finite:
-        coeffs = poly_mul(coeffs, (-r, 1))
-    coeffs = coeffs + (0,) * (n + 1 - len(coeffs))
-    return Polynomial(coeffs, n)
+    coeffs = poly_from_roots(t.finite)
+    # pad with the coefficients' own zero, so the group is already coerced
+    return Polynomial(coeffs + (0 * coeffs[-1],) * (n + 1 - len(coeffs)), n)
 
 
 def _newton_polish(coeffs_f, dcoeffs_f, x, steps=3):
@@ -311,6 +274,8 @@ def _extract_roots(f: Polynomial) -> RootTuple:
             if abs(disc) <= (ROOT_IMAG_TOL * scale) ** 2:
                 raise NotDistinctRoots("double root within tolerance")
             raise ComplexRoots("negative discriminant")
+        if float(c2) == 0:
+            raise ValueError(f"leading coefficient {c2} below the float range")
         sq = math.sqrt(disc)
         r1 = (-float(c1) - sq) / (2 * float(c2))
         r2 = (-float(c1) + sq) / (2 * float(c2))

@@ -2,10 +2,10 @@
 
 These deliberately avoid the production code paths they are used to check:
 the pencil oracle works on raw coefficient sequences with numpy eigenvalues,
-exact Sylvester resultants, and Sturm real-root counts; the cofactor charge
-expands the defining Vandermonde determinant minor by minor; the Fraction
-Newton polish evaluates by rational power sums; the kernel-sign scan
-only evaluates charges on a corner family with sign-change bisection; the
+exact Sylvester resultants, and Sturm real-root counts (redstab.poly); the
+cofactor charge expands the defining Vandermonde determinant minor by minor;
+the Fraction Newton polish evaluates by rational power sums; the kernel-sign
+scan only evaluates charges on a corner family with sign-change bisection; the
 pointwise support check evaluates Q(gamma(t)) at every grid point and pairs
 member by member with the scalar loop, extracting roots on every call.
 """
@@ -19,118 +19,14 @@ from .charge import ReducedCharge, eval_charge, gamma, reduced_charge
 from .errors import ComplexRoots, NotDistinctRoots
 from .exact import all_exact, bareiss_det, det, is_negative_definite
 from .interlace import PLUS_INFINITY, RootTuple, pencil_canonical
+from .poly import lagrange_coeffs, poly_derivative, sturm_count_real, sylvester_resultant, trim
 from .quadform import SupportReport, kernel_of_line
 
 ORACLE_SAMPLES = 256
 
 
-# ---------------------------------------------------------------------------
-# exact univariate helpers on ascending coefficient lists
-
-
-def _trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _deriv(p):
-    return _trim([k * c for k, c in enumerate(p)][1:] or [Fraction(0)])
-
-
-def _neg_rem(a, b):
-    """-(a mod b) over Fractions, for Sturm sequences."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    db = len(b) - 1
-    while len(a) - 1 >= db and any(x != 0 for x in a):
-        da = len(a) - 1
-        f = a[-1] / b[-1]
-        shift = da - db
-        for i, x in enumerate(b):
-            a[i + shift] -= f * x
-        a = _trim(a)
-        if len(a) - 1 < db:
-            break
-    return _trim([-x for x in a])
-
-
-def sturm_count_real(p) -> int:
-    """Number of distinct real roots of a rational polynomial (Sturm)."""
-    p = _trim([Fraction(x) for x in p])
-    if len(p) == 1:
-        return 0
-    chain = [p, _deriv(p)]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        nxt = _neg_rem(chain[-2], chain[-1])
-        if all(x == 0 for x in nxt):
-            break
-        chain.append(nxt)
-        if len(nxt) == 1:
-            break
-    def sign_at_inf(q, plus):
-        lead = q[-1]
-        if lead == 0:
-            return 0
-        if plus or (len(q) - 1) % 2 == 0:
-            return 1 if lead > 0 else -1
-        return -1 if lead > 0 else 1
-    def changes(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    at_minus = changes([sign_at_inf(q, plus=False) for q in chain])
-    at_plus = changes([sign_at_inf(q, plus=True) for q in chain])
-    return at_minus - at_plus
-
-
-def sylvester_resultant(p, q):
-    """Resultant of two rational polynomials via the Sylvester determinant."""
-    p = _trim([Fraction(x) for x in p])
-    q = _trim([Fraction(x) for x in q])
-    dp, dq = len(p) - 1, len(q) - 1
-    if dp == 0:
-        return p[0] ** dq
-    if dq == 0:
-        return q[0] ** dp
-    size = dp + dq
-    rows = []
-    desc_p = list(reversed(p))
-    desc_q = list(reversed(q))
-    for i in range(dq):
-        rows.append([Fraction(0)] * i + desc_p + [Fraction(0)] * (size - i - dp - 1))
-    for i in range(dp):
-        rows.append([Fraction(0)] * i + desc_q + [Fraction(0)] * (size - i - dq - 1))
-    return bareiss_det(rows)
-
-
-def _lagrange_coeffs(xs, ys):
-    """Exact interpolation through (xs, ys); ascending coefficients."""
-    n = len(xs)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            basis = _poly_mul_frac(basis, [-Fraction(xs[j]), Fraction(1)])
-            denom *= Fraction(xs[i]) - Fraction(xs[j])
-        scale = Fraction(ys[i]) / denom
-        for k, c in enumerate(basis):
-            out[k] += scale * c
-    return _trim(out)
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _real_rooted_distinct_exact(p) -> bool:
-    p = _trim([Fraction(x) for x in p])
+    p = trim([Fraction(x) for x in p])
     deg = len(p) - 1
     return deg >= 0 and sturm_count_real(p) == deg
 
@@ -171,8 +67,8 @@ def pencil_discriminant_real_roots(f_coeffs, g_coeffs):
     derivative is then a polynomial in c whose real zeros are exactly the
     repeated-root members.  Returns (count, drop_member_ok).
     """
-    f = _trim([Fraction(x) for x in f_coeffs])
-    g = _trim([Fraction(x) for x in g_coeffs])
+    f = trim([Fraction(x) for x in f_coeffs])
+    g = trim([Fraction(x) for x in g_coeffs])
     n = max(len(f), len(g)) - 1
     f = f + [Fraction(0)] * (n + 1 - len(f))
     g = g + [Fraction(0)] * (n + 1 - len(g))
@@ -182,7 +78,7 @@ def pencil_discriminant_real_roots(f_coeffs, g_coeffs):
         f, g = g, f
     # degree-drop member h = g - (g_n / f_n) f
     factor = g[n] / f[n]
-    h = _trim([y - factor * x for x, y in zip(f, g)])
+    h = trim([y - factor * x for x, y in zip(f, g)])
     if len(h) - 1 != n - 1:
         return (1, False)  # drops more than one degree: degenerate line
     drop_ok = _real_rooted_distinct_exact(h)
@@ -192,8 +88,8 @@ def pencil_discriminant_real_roots(f_coeffs, g_coeffs):
     ys = []
     for c in xs:
         member = [x + c * y for x, y in zip(f, h + [Fraction(0)] * (n + 1 - len(h)))]
-        ys.append(sylvester_resultant(member, _deriv(member)))
-    disc_poly = _lagrange_coeffs(xs, ys)
+        ys.append(sylvester_resultant(member, poly_derivative(member)))
+    disc_poly = lagrange_coeffs(xs, ys)
     if all(x == 0 for x in disc_poly):
         return (1, drop_ok)
     return (sturm_count_real(disc_poly), drop_ok)
@@ -385,8 +281,12 @@ def verify_support_pointwise(Q, l, samples: int = 50, margin: float = 0.0,
     if not ok_b:
         failures.append(("kernel", restricted))
 
-    gen_roots = [abs(float(x)) for x in l.gen_a.roots().finite] + \
-                [abs(float(x)) for x in l.gen_b.roots().finite]
+    gen_roots = []
+    for gen in (l.gen_a, l.gen_b):
+        try:
+            gen_roots += [abs(float(x)) for x in gen.roots().finite]
+        except (ComplexRoots, NotDistinctRoots):
+            pass
     root_cap = 1e7 * (1.0 + max(gen_roots, default=1.0))
     ok_c = True
     for k in range(samples):
@@ -407,7 +307,12 @@ def verify_support_pointwise(Q, l, samples: int = 50, margin: float = 0.0,
         if bad:
             ok_c = False
             failures.extend(("pairing", theta) + b for b in bad)
-    drop_roots = pencil_canonical(l).roots().finite
+    try:
+        drop_roots = pencil_canonical(l).roots().finite
+    except (ComplexRoots, NotDistinctRoots):
+        ok_c = False
+        failures.append(("pairing-inf-roots", n))
+        drop_roots = ()
     gam = [gamma(t, n) for t in drop_roots]
     einf = gamma(PLUS_INFINITY, n)
     for i, g in enumerate(gam):

@@ -1,0 +1,213 @@
+"""Exact univariate polynomial arithmetic on ascending coefficient sequences.
+
+Index k holds the coefficient of x^k.  The helpers take ints, Fractions and
+floats and keep the representation of their input: exact in, exact out.
+
+The hot kernels ``poly_from_roots``, ``poly_shift_arg`` and
+``shift_difference`` run on integer numerators over one common denominator
+(exact.integer_scaled) when their input is exact, and form one Fraction per
+coefficient at the end; on float input they keep the float operation order
+of the plain product and Horner loops.
+
+The Sturm count, the Sylvester resultant and Lagrange interpolation are
+exact routines for the brute-force oracles.
+"""
+
+from fractions import Fraction
+
+from .exact import all_exact, bareiss_det, integer_scaled, is_exact
+
+
+def poly_eval(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def poly_scale(a, c):
+    return tuple(c * x for x in a)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def poly_derivative(coeffs):
+    return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0,)
+
+
+def poly_from_roots(roots) -> tuple:
+    """Coefficients of the monic prod (x - r), all Fraction or all float.
+
+    Exact roots p_i / D multiply the integer factors (D x - p_i) and divide
+    once by D^k; float roots multiply the factors (-r, 1) in turn, starting
+    from 1.0.
+    """
+    if not all_exact(roots):
+        coeffs = (1.0,)
+        for r in roots:
+            coeffs = poly_mul(coeffs, (-r, 1))
+        return coeffs
+    ints, den = integer_scaled(roots)
+    scale = den ** len(ints)
+    return tuple(Fraction(c, scale) for c in _integer_root_product(ints, den))
+
+
+def shift_difference(roots, m) -> tuple:
+    """Coefficients of f(x) - f(x - m) for the monic f = prod (x - r).
+
+    On exact input the roots of f(x - m) are r + m, so with the roots and m
+    over one common denominator E both products are integer products of
+    factors (E x - p) and each coefficient is one Fraction over E^k.
+    Otherwise f(x - m) is poly_shift_arg(f, -m).
+    """
+    if not (all_exact(roots) and is_exact(m)):
+        f = poly_from_roots(roots)
+        return poly_add(f, poly_scale(poly_shift_arg(f, -m), -1))
+    (*ints, shift), den = integer_scaled(tuple(roots) + (m,))
+    high = _integer_root_product(ints, den)
+    low = _integer_root_product([p + shift for p in ints], den)
+    scale = den ** len(ints)
+    return tuple(Fraction(a - b, scale) for a, b in zip(high, low))
+
+
+def _integer_root_product(ints, den) -> list:
+    """Integer coefficients of prod (den x - p) over p in ints."""
+    out = [1]
+    for p in ints:
+        # (den x - p) * out: coefficient j is den out[j-1] - p out[j]
+        out = [den * a - p * b for a, b in zip([0] + out, out + [0])]
+    return out
+
+
+def poly_shift_arg(coeffs, m):
+    """Coefficients of p(x + m); exact when inputs are exact.
+
+    On exact input, with p = sum N_k x^k / D and m = a / b, Horner on the
+    integers R(y) = sum N_k b^(d-k) (y + a)^k gives the coefficient of x^j as
+    R_j / (D b^(d-j)).  Otherwise Horner with (x + m) on the coefficients.
+    """
+    if not (all_exact(coeffs) and is_exact(m)):
+        out = (coeffs[-1],)
+        for c in reversed(coeffs[:-1]):
+            out = poly_add(poly_mul(out, (m, 1)), (c,))
+        return out
+    ints, den = integer_scaled(coeffs)
+    a, b = m.numerator, m.denominator
+    acc = [ints[-1]]
+    bk = 1
+    for n_k in reversed(ints[:-1]):
+        bk *= b
+        # acc * (y + a) + n_k b^(d-k): coefficient j is acc[j-1] + a acc[j]
+        acc = [y + a * x for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += n_k * bk
+    d = len(acc) - 1
+    return tuple(Fraction(r, den * b ** (d - j)) for j, r in enumerate(acc))
+
+
+# ---------------------------------------------------------------------------
+# exact routines of the oracles
+
+
+def trim(p):
+    """Drop vanishing leading coefficients, keeping at least the constant."""
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def neg_rem(a, b):
+    """-(a mod b) over Fractions, for Sturm sequences."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    db = len(b) - 1
+    while len(a) - 1 >= db and any(x != 0 for x in a):
+        da = len(a) - 1
+        f = a[-1] / b[-1]
+        shift = da - db
+        for i, x in enumerate(b):
+            a[i + shift] -= f * x
+        a = trim(a)
+        if len(a) - 1 < db:
+            break
+    return trim([-x for x in a])
+
+
+def sturm_count_real(p) -> int:
+    """Number of distinct real roots of a rational polynomial (Sturm)."""
+    p = trim([Fraction(x) for x in p])
+    if len(p) == 1:
+        return 0
+    chain = [p, list(poly_derivative(p))]
+    while len(chain[-1]) > 1 or chain[-1][0] != 0:
+        nxt = neg_rem(chain[-2], chain[-1])
+        if all(x == 0 for x in nxt):
+            break
+        chain.append(nxt)
+        if len(nxt) == 1:
+            break
+    def sign_at_inf(q, plus):
+        lead = q[-1]
+        if lead == 0:
+            return 0
+        if plus or (len(q) - 1) % 2 == 0:
+            return 1 if lead > 0 else -1
+        return -1 if lead > 0 else 1
+    def changes(signs):
+        signs = [s for s in signs if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    at_minus = changes([sign_at_inf(q, plus=False) for q in chain])
+    at_plus = changes([sign_at_inf(q, plus=True) for q in chain])
+    return at_minus - at_plus
+
+
+def sylvester_resultant(p, q):
+    """Resultant of two rational polynomials via the Sylvester determinant."""
+    p = trim([Fraction(x) for x in p])
+    q = trim([Fraction(x) for x in q])
+    dp, dq = len(p) - 1, len(q) - 1
+    if dp == 0:
+        return p[0] ** dq
+    if dq == 0:
+        return q[0] ** dp
+    size = dp + dq
+    rows = []
+    desc_p = list(reversed(p))
+    desc_q = list(reversed(q))
+    for i in range(dq):
+        rows.append([Fraction(0)] * i + desc_p + [Fraction(0)] * (size - i - dp - 1))
+    for i in range(dp):
+        rows.append([Fraction(0)] * i + desc_q + [Fraction(0)] * (size - i - dq - 1))
+    return bareiss_det(rows)
+
+
+def lagrange_coeffs(xs, ys):
+    """Exact interpolation through (xs, ys); ascending coefficients."""
+    n = len(xs)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        basis = (Fraction(1),)
+        denom = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            basis = poly_mul(basis, (-Fraction(xs[j]), Fraction(1)))
+            denom *= Fraction(xs[i]) - Fraction(xs[j])
+        scale = Fraction(ys[i]) / denom
+        for k, c in enumerate(basis):
+            out[k] += scale * c
+    return trim(out)

@@ -34,8 +34,10 @@ from .charge import CentralCharge, ReducedCharge, charge_of_poly, gamma
 from .errors import (
     AlphaSearchFailed,
     AssumptionViolated,
+    ComplexRoots,
     InvalidAmbient,
     InvariantViolated,
+    NotDistinctRoots,
     SingularForm,
     WrongSignature,
 )
@@ -56,8 +58,8 @@ from .interlace import (
     member_roots,
     pencil_canonical,
     pencil_project,
-    poly_eval,
 )
+from .poly import poly_eval
 
 ALPHA_CAP = 2 ** 60
 SUPPORT_MARGIN = 1e-8
@@ -176,25 +178,30 @@ def tilde(B: ReducedCharge) -> ReducedCharge:
     return ReducedCharge((0,) + tuple(k * w[k - 1] for k in range(1, len(w))))
 
 
-def line_charges(l: Pencil):
+def line_charges(l: Pencil, proj: Pencil | None = None):
     """Canonical charge of the line and of its projection, both on ambient n.
 
     The line's charge has leading weight -1 at index n-1; the projected
     line's canonical charge embeds with leading weight -1 at index n-2.
+    ``proj`` is pencil_project(l) when the caller has already computed it.
     """
     n = l.ambient
     if n < 2:
         raise InvalidAmbient("line charges need ambient >= 2")
     b_line = charge_of_poly(pencil_canonical(l))
-    proj = pencil_project(l)
+    if proj is None:
+        proj = pencil_project(l)
     b_proj_low = charge_of_poly(pencil_canonical(proj))
     b_proj = ReducedCharge(b_proj_low.weights + (0,))
     return b_line, b_proj
 
 
-def q_line(l: Pencil) -> QuadraticForm:
-    """The pencil's quadratic form B_l * tilde(B_pi) - B_pi * tilde(B_l)."""
-    b_line, b_proj = line_charges(l)
+def q_line(l: Pencil, proj: Pencil | None = None) -> QuadraticForm:
+    """The pencil's quadratic form B_l * tilde(B_pi) - B_pi * tilde(B_l).
+
+    ``proj`` is pencil_project(l) when the caller has already computed it.
+    """
+    b_line, b_proj = line_charges(l, proj)
     g1 = _sym_outer(b_line.weights, tilde(b_proj).weights)
     g2 = _sym_outer(b_proj.weights, tilde(b_line).weights)
     gram = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(g1, g2))
@@ -251,14 +258,15 @@ class _LineData:
     ``members`` lists the sampled members in sampling order as (theta,
     gammas); gammas is None when the member's roots could not be certified.
     ``stack`` holds the gammas of the certified members as one float array
-    of shape (members, n, n + 1).
+    of shape (members, n, n + 1).  ``drop_gammas`` is None when the
+    degree-drop member's roots could not be certified (a strict=False line).
     """
 
     ambient: int
     kernel: list
     members: list
     stack: np.ndarray
-    drop_gammas: list
+    drop_gammas: list | None
     einf: tuple
 
 
@@ -276,8 +284,12 @@ def _line_data(l: Pencil, samples: int) -> _LineData:
 
 def _build_line_data(l: Pencil, samples: int) -> _LineData:
     n = l.ambient
-    gen_roots = [abs(float(x)) for x in l.gen_a.roots().finite] + \
-                [abs(float(x)) for x in l.gen_b.roots().finite]
+    gen_roots = []
+    for gen in (l.gen_a, l.gen_b):
+        try:  # a strict=False line's generator may have no real distinct roots
+            gen_roots += [abs(float(x)) for x in gen.roots().finite]
+        except (ComplexRoots, NotDistinctRoots):
+            pass
     root_cap = 1e7 * (1.0 + max(gen_roots, default=1.0))
     # Pencil.member's coefficients: a Fraction times a float is the float
     # product, so the generators are converted to float once per line
@@ -299,7 +311,10 @@ def _build_line_data(l: Pencil, samples: int) -> _LineData:
         members.append((theta, [gamma(t, n) for t in roots]))
     rooted = [gam for _, gam in members if gam is not None]
     stack = np.array(rooted, dtype=float).reshape(len(rooted), n, n + 1)
-    drop_gammas = [gamma(t, n) for t in pencil_canonical(l).roots().finite]
+    try:
+        drop_gammas = [gamma(t, n) for t in pencil_canonical(l).roots().finite]
+    except (ComplexRoots, NotDistinctRoots):
+        drop_gammas = None
     return _LineData(n, kernel_of_line(l), members, stack, drop_gammas,
                      gamma(PLUS_INFINITY, n))
 
@@ -344,7 +359,9 @@ def _check_support(Q, data, margin, vanish_tol=1e-8, grid=100):
     # degree-drop member (r_1, ..., r_(n-1), +inf): only the pairs against
     # gamma(+inf) are strict at this level (the finite pairs are the projected
     # line's conditions, verified one ambient lower)
-    for i, g in enumerate(data.drop_gammas):
+    if data.drop_gammas is None:
+        bad.append(("pairing-inf-roots", n))
+    for i, g in enumerate(data.drop_gammas or ()):
         val, abssum = Q.pair_float_with_scale(g, data.einf)
         if abs(val) <= max(margin, 1e-9) * abssum:
             val = Q.pair_exact(g, data.einf)
@@ -449,11 +466,12 @@ def q_tilde(l: Pencil, samples: int = 50) -> QuadraticForm:
     n = l.ambient
     if n == 1:
         return zero_form(2)
-    lower = q_tilde(pencil_project(l), samples=samples)
+    proj = pencil_project(l)
+    lower = q_tilde(proj, samples=samples)
     padded_rows = [tuple(row) + (Fraction(0),) for row in lower.gram]
     padded_rows.append(tuple(Fraction(0) for _ in range(n + 1)))
     lower_padded = QuadraticForm(tuple(padded_rows))
-    line_form = q_line(l)
+    line_form = q_line(l, proj)
     data = _line_data(l, samples)
     alpha = Fraction(1)
     report = None

@@ -24,12 +24,9 @@ from .interlace import (
     Pencil,
     Polynomial,
     RootTuple,
-    poly_add,
-    poly_scale,
-    poly_shift_arg,
-    roots_to_poly,
     sep_pencil,
 )
+from .poly import shift_difference
 
 
 @dataclass(frozen=True)
@@ -61,8 +58,7 @@ def xi(t, m) -> RootTuple:
     fin = t.finite
     if not fin:
         raise SepViolation("no finite entries to restrict")
-    f = roots_to_poly(RootTuple(fin))
-    diff = poly_add(f.coeffs, poly_scale(poly_shift_arg(f.coeffs, -m), -1))
+    diff = shift_difference(fin, m)
     k = len(fin)
     # difference of monic degree-k polynomials: degree exactly k-1
     if diff[k] != 0:

@@ -20,6 +20,10 @@ from .quadform import QuadraticForm
 
 FLOAT_MODE = "float64:17sig"
 EXACT_MODE = "exact"
+# largest |decimal exponent| of a numeric string: the exact value 10^e is
+# built digit by digit, and an integer of more than 4300 digits cannot be
+# printed back (Python's int/str conversion limit)
+MAX_EXPONENT = 4300
 
 
 def number_to_str(x) -> str:
@@ -33,13 +37,20 @@ def number_to_str(x) -> str:
 def number_from_str(s):
     """A finite JSON number or numeric string.
 
-    ValueError for NaN, +-inf (also a JSON number beyond the float range)
-    and a zero denominator.
+    ValueError for NaN, +-inf (also a JSON number beyond the float range),
+    a zero denominator, a decimal exponent beyond MAX_EXPONENT, and a JSON
+    value that is not a number or a string (null, true/false, an array, an
+    object).
     """
+    if isinstance(s, bool) or not isinstance(s, (int, float, str)):
+        raise ValueError(f"not a number: {s!r}")
     if isinstance(s, (int, float)):
         x = s
     else:
         s = s.strip()
+        _, e, exponent = s.lower().partition("e")
+        if e and exponent.lstrip("+-").isdigit() and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_EXPONENT} in {s!r}")
         try:
             x = Fraction(s)
         except ZeroDivisionError:
@@ -58,12 +69,19 @@ def _root_from_str(s):
     return number_from_str(s)
 
 
+def array_from_json(data) -> list:
+    """A JSON array as a list; ValueError for any other JSON value."""
+    if not isinstance(data, list):
+        raise ValueError(f"expected a JSON array, got {data!r}")
+    return data
+
+
 def mode_of(values) -> str:
     return EXACT_MODE if all(is_exact(x) for x in values) else FLOAT_MODE
 
 
 def poly_from_json(data, ambient=None) -> Polynomial:
-    coeffs = tuple(number_from_str(c) for c in data)
+    coeffs = tuple(number_from_str(c) for c in array_from_json(data))
     return Polynomial(coeffs, len(coeffs) - 1 if ambient is None else ambient)
 
 
@@ -72,11 +90,11 @@ def roots_to_json(t: RootTuple) -> list:
 
 
 def roots_from_json(data) -> RootTuple:
-    return RootTuple(tuple(_root_from_str(x) for x in data))
+    return RootTuple(tuple(_root_from_str(x) for x in array_from_json(data)))
 
 
 def vector_from_json(data) -> tuple:
-    return tuple(number_from_str(x) for x in data)
+    return tuple(number_from_str(x) for x in array_from_json(data))
 
 
 def charge_to_json(B: ReducedCharge) -> list:
@@ -84,7 +102,7 @@ def charge_to_json(B: ReducedCharge) -> list:
 
 
 def charge_from_json(data) -> ReducedCharge:
-    return ReducedCharge(tuple(number_from_str(x) for x in data))
+    return ReducedCharge(vector_from_json(data))
 
 
 def gram_to_json(Q: QuadraticForm) -> list:
@@ -92,4 +110,4 @@ def gram_to_json(Q: QuadraticForm) -> list:
 
 
 def gram_from_json(rows) -> QuadraticForm:
-    return QuadraticForm(tuple(tuple(number_from_str(x) for x in row) for row in rows))
+    return QuadraticForm(tuple(vector_from_json(row) for row in array_from_json(rows)))

@@ -58,6 +58,8 @@ def sb_v_surface(v, p_range=(-8.0, 8.0), samples: int = 200) -> WallLocus:
     v = tuple(v)
     v0, v1, _ = coerce(v)
     a, b, c = -v1 / 2, v0 / 2, v[2]
+    if any(x != 0 and float(x) == 0 for x in (a, b, c)):
+        raise ValueError(f"character {tuple(map(str, v))} has entries below the float range")
     # line a*p + b*q + c = 0
     implicit = {"p_coeff": a, "q_coeff": b, "const": c}
     pts, res = [], []

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from redstab.cli import main, run_capture
 
@@ -129,14 +133,40 @@ class TestContract:
             main(["walls", "frobnicate"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("bad", ['"1/0"', '"nan"', "NaN", '"inf"', '"-inf"', "1e999"])
+    @pytest.mark.parametrize("bad", ['"1/0"', '"nan"', "NaN", '"inf"', '"-inf"', "1e999",
+                                     "null", "true", "[1]", '{"a": 1}'])
     def test_bad_number_is_one_error_document(self, bad):
         # a zero denominator, NaN or an infinity in a finite slot, as a string
-        # or as a JSON float
+        # or as a JSON float; a JSON value that is not a number
         code, text = run_capture(["charge", "eval", "--roots", '["0","2"]',
                                   "--v", f"[{bad},\"0\",\"1\"]"])
         assert code == 1 and text.count("\n") == 1
         assert json.loads(text)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("roots", ["[null,2]", "[[1],2]", "[true,2]", "5", '"0"', "{}"])
+    def test_bad_root_payload_is_one_error_document(self, roots):
+        # null, nested and boolean entries, and a payload that is not an array
+        code, text = run_capture(["charge", "weights", "--roots", roots])
+        assert code == 1 and text.count("\n") == 1
+        assert json.loads(text)["error"] == "ValueError"
+
+    def test_usage_error_is_one_document(self):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["walls", "hilb", "--m", "x"])
+        assert exc.value.code == 2 and out.getvalue().count("\n") == 1
+        assert json.loads(out.getvalue())["error"] == "UsageError"
+        assert err.getvalue().startswith("usage:")
+
+    def test_unexpected_exception_is_internal_error_document(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr("redstab.cli.walls.hilb_bounds", broken)
+        code, text = run_capture(["walls", "hilb", "--m", "1"])
+        assert code == 1 and text.count("\n") == 1
+        doc = json.loads(text)
+        assert doc["error"] == "InternalError" and doc["message"] == "TypeError: a bug"
 
     def test_determinism(self):
         a = run_capture(["quadform", "build", "--s", '["0","2","4"]',
@@ -170,3 +200,94 @@ class TestSelftest:
         doc = json.loads(a[1])
         assert doc["result"]["all_pass"] is True
         assert "seconds" not in json.dumps(doc)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every verb with valid, malformed and out-of-domain payloads
+
+_ATOMS = ['"0"', '"1"', '"-2"', '"1/3"', '"5/2"', "3", "-1", "0.25", '"0.1"',
+          '"1/0"', '"nan"', "NaN", '"inf"', '"-inf"', "Infinity", "1e999", '"1e999"',
+          '"-1e-999"', '"1e4301"', '"2.5e300"', '"abc"', '""', "null", "true", "[1]", "{}"]
+_JSON = (st.lists(st.sampled_from(_ATOMS), max_size=3).map(lambda xs: "[" + ",".join(xs) + "]")
+         | st.sampled_from(_ATOMS + ["[1,", "{", "", "nul", "[[]]", '[["1"]]']))
+_ROOTS = st.sampled_from(['["0","2"]', '["1","3"]', '["1","inf"]', '["0","2","4"]',
+                          '["1","3","5"]', '["-1","3"]', '["0","3","6"]']) | _JSON
+_VEC = st.sampled_from(['["0","0","1"]', '["0","2","2"]', '["1","0","-1"]',
+                        '["1","-3","0","5"]']) | _JSON
+_NUM = st.sampled_from(["1", "0", "-1", "1/2", "3", "1/0", "nan", "inf", "-inf", "1e999",
+                        "1e-999", "1e4301", "abc", "", "0.1", "2", "[1]"])
+_NS = st.sampled_from(['["1", ["0"], "-3"]', '["2", ["1"], "1"]', '["1"]', '"x"']) | _JSON
+_INT = st.sampled_from(["1", "7", "0", "-3", "x", "1e3", "99999"])
+
+# each verb: argv template, None marking a slot filled from the strategy after it
+_VERBS = [
+    (["interlace", "check", "--f", None, "--g", None], _VEC, _VEC),
+    (["interlace", "sep", "--roots", None], _ROOTS),
+    (["interlace", "sep", "--poly", None], _VEC),
+    (["interlace", "sep-pencil", "--samples", "16", "--f", None, "--g", None], _VEC, _VEC),
+    (["charge", "eval", "--roots", None, "--v", None], _ROOTS, _VEC),
+    (["charge", "eval", "--weights", None, "--v", None], _VEC, _VEC),
+    (["charge", "weights", "--roots", None], _ROOTS),
+    (["charge", "decompose", "--roots", None, "--v", None], _ROOTS, _VEC),
+    (["charge", "in-bn", "--weights", None, "--d", None], _VEC, _NUM),
+    (["quadform", "build", "--samples", "8", "--s", None, "--t", None], _ROOTS, _ROOTS),
+    (["quadform", "build", "--line", "--s", None, "--t", None], _ROOTS, _ROOTS),
+    (["quadform", "verify", "--samples", "8", "--s", None, "--t", None, "--gram", None],
+     _ROOTS, _ROOTS, st.sampled_from(['[["0","0","-1"],["0","1","0"],["-1","0","0"]]']) | _JSON),
+    (["geom", "threefold", "--alpha", None, "--beta", None, "--a", None, "--b", None],
+     _NUM, _NUM, _NUM, _NUM),
+    (["geom", "validity", "--alpha", None, "--beta", None, "--a", None, "--b", None],
+     _NUM, _NUM, _NUM, _NUM),
+    (["geom", "params", "--roots", None], _ROOTS),
+    (["geom", "family", "--grid", "8", "--roots", None, "--v", None], _ROOTS, _VEC),
+    (["geom", "ab-delta", "--gram", None, "--v", None], st.sampled_from(["[[2]]"]) | _JSON, _NS),
+    (["geom", "ab-twist", "--gram", "[[2]]", "--v", None, "--G", None], _NS, _VEC),
+    (["geom", "ab-negdef", "--gram", "[[2]]", "--v", None, "--w", None], _NS, _NS),
+    (["geom", "ab-bayer", "--gram", "[[2]]", "--v", None, "--G", None], _NS, _VEC),
+    (["geom", "ab-restrict", "--gram", "[[2]]", "--v", None, "--w", None, "--H", None],
+     _NS, _NS, _VEC),
+    (["walls", "hilb", "--m", None], _INT),
+    (["walls", "surface", "--samples", "12", "--v", None], _VEC),
+    (["walls", "numerical", "--samples", "12", "--v", None, "--w", None], _VEC, _VEC),
+    (["walls", "plot", "--figure", None, "--m", None],
+     st.sampled_from(["1", "4", "5"]), st.sampled_from(["1", "2", "0", "-1", "x"])),
+    (["restrict", "xi", "--roots", None, "--m", None], _ROOTS, _NUM),
+    (["restrict", "chain", "--roots", None, "--spec", None], _ROOTS, _VEC),
+    (["restrict", "charge", "--s", None, "--t", None, "--m", None, "--c1", None],
+     _ROOTS, _ROOTS, _NUM, _NUM),
+    (["selftest", "--criteria", None], st.sampled_from(["4", "9", "12", "99", "x", "1,,2"])),
+]
+
+
+@st.composite
+def _argv(draw):
+    template, *slots = draw(st.sampled_from(_VERBS))
+    fills = iter([draw(slot) for slot in slots])
+    return [next(fills) if arg is None else arg for arg in template]
+
+
+@given(_argv())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_every_run_prints_one_document(argv):
+    """Exactly one document, exit code 0, 1 or 2, and never an internal error."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    assert code in (0, 1, 2)
+    if argv[:2] == ["walls", "plot"] and code == 0:
+        assert text.startswith('<?xml version="1.0"') and text.count("<svg") == 1
+        return
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    doc = json.loads(text)
+    if code == 0:
+        assert "result" in doc and "error" not in doc
+    elif code == 2:
+        assert doc["error"] == "UsageError"
+    else:
+        assert doc.get("error", "InternalError") != "InternalError" or (
+            argv[0] == "selftest" and doc["result"]["all_pass"] is False), doc

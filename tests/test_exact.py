@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,6 +16,7 @@ from redstab.exact import (
     nullspace,
     particular_solution,
     rank,
+    rref,
     solve,
 )
 from redstab.errors import SingularForm
@@ -78,6 +80,92 @@ class TestSolveNullspaceInv:
 
     def test_particular_solution_inconsistent(self):
         assert particular_solution([[1, 2], [2, 4]], [1, 3], 2) is None
+
+
+def _ref_rref(rows, width=None):
+    """Gauss-Jordan over Fractions, row by row: the reference for exact.rref."""
+    m = [[F(x) for x in row] for row in rows]
+    width = (len(m[0]) if m else 0) if width is None else width
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                m[i] = [x - m[i][col] * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return m, pivots
+
+
+def _random_matrix(rng, rows, cols, kind):
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if kind == "float":
+            return rng.choice((rng.uniform(-5, 5), rng.randint(-9, 9) / 8, 1e-300, -2.5e10))
+        return F(rng.randint(-30, 30), rng.randint(1, 12))
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 2 and rng.random() < 0.5:
+        # rank deficient: the last row combines the first two
+        m[-1] = [x + 2 * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+class TestIntegerRowElimination:
+    """rref on integer rows equals Gauss-Jordan over Fractions, entry by entry."""
+
+    @pytest.mark.parametrize("kind", ("rational", "float"))
+    def test_rref_equals_fraction_elimination(self, kind):
+        rng = random.Random(kind)
+        for _ in range(80):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+            m = _random_matrix(rng, rows, cols, kind)
+            if rng.random() < 0.05:
+                m = [[0] * cols for _ in range(rows)]
+            for width in (None, max(0, cols - rng.randint(1, 3))):
+                got, pivots = rref(m, width)
+                want, want_pivots = _ref_rref(m, width)
+                assert pivots == want_pivots and got == want
+                assert all(type(x) is F for row in got for x in row)
+
+    def test_empty_and_zero_matrices(self):
+        assert rref([]) == ([], [])
+        assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+        assert rref([[0, 0, 3]], 2) == ([[0, 0, 3]], [])
+
+    @pytest.mark.parametrize("kind", ("rational", "float"))
+    def test_solve_inv_nullspace_equal_fraction_routes(self, kind):
+        rng = random.Random("callers" + kind)
+        for _ in range(50):
+            n = rng.randint(1, 6)
+            a = _random_matrix(rng, n, n, kind)
+            b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            red, piv = _ref_rref([row + [x] for row, x in zip(a, b)], n)
+            if len(piv) < n:
+                with pytest.raises(SingularForm):
+                    solve(a, b)
+                with pytest.raises(SingularForm):
+                    inv(a)
+            else:
+                assert solve(a, b) == [row[n] for row in red]
+                eye = [[int(i == j) for j in range(n)] for i in range(n)]
+                red_inv, _ = _ref_rref([row + e for row, e in zip(a, eye)], n)
+                assert inv(a) == [row[n:] for row in red_inv]
+            wide = _random_matrix(rng, rng.randint(1, 4), n + rng.randint(0, 3), kind)
+            red, piv = _ref_rref(wide)
+            want = []
+            for fc in (c for c in range(len(wide[0])) if c not in piv):
+                v = [int(c == fc) for c in range(len(wide[0]))]
+                for row, pc in zip(red, piv):
+                    v[pc] = -row[fc]
+                want.append(v)
+            assert nullspace(wide) == want
 
 
 class TestCoerce:

@@ -161,6 +161,18 @@ class TestSupportOracle:
         rep = self._assert_same(corrupted, formal)
         assert any(f[0] == "pairing-roots" for f in rep.failures)
 
+    def test_uncertified_generator_and_degree_drop_member(self):
+        # x^2 + 1 has complex roots; in the cubic line it is the degree-drop member
+        surface = Pencil(Polynomial((F(1), F(0), F(1)), 2),
+                         Polynomial((F(-3), F(1), F(0)), 2), strict=False)
+        rep = self._assert_same(q_line(surface), surface)
+        assert not rep.ok
+        cubic = Pencil(Polynomial((F(0), F(-1), F(0), F(1)), 3),
+                       Polynomial((F(1), F(0), F(1), F(0)), 3), strict=False)
+        neg = QuadraticForm(tuple(tuple(F(-int(i == j)) for j in range(4)) for i in range(4)))
+        rep = self._assert_same(neg, cubic)
+        assert ("pairing-inf-roots", 3) in rep.failures
+
     def test_float_form(self):
         line = Pencil.from_tuples(RootTuple((F(0), F(2), F(4))),
                                   RootTuple((F(1), F(3), F(5))))

@@ -1,0 +1,158 @@
+"""The integer kernels of redstab.poly against plain Fraction references.
+
+Each reference below is the textbook loop over Fractions (or, for float
+input, the float loop the kernels keep), written out here so the kernels are
+compared with something that does not share their code.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from redstab.charge import charge_of_poly
+from redstab.interlace import PLUS_INFINITY, Polynomial, RootTuple, roots_to_poly
+from redstab.poly import lagrange_coeffs, poly_from_roots, poly_shift_arg, shift_difference, trim
+
+
+def _ref_from_roots(roots):
+    """prod (x - r) over Fractions: coefficient j of (x - r) p is p[j-1] - r p[j]."""
+    out = [F(1)]
+    for r in roots:
+        out = [a - r * b for a, b in zip([F(0)] + out, out + [F(0)])]
+    return out
+
+
+def _ref_shift(coeffs, m):
+    """p(x + m) by the binomial expansion over Fractions."""
+    d = len(coeffs) - 1
+    return [sum(F(coeffs[k]) * math.comb(k, j) * F(m) ** (k - j) for k in range(j, d + 1))
+            for j in range(d + 1)]
+
+
+def _float_product_loop(roots):
+    """The float product loop of the plain route: factors (-r, 1) from 1."""
+    out = [1]
+    for r in roots:
+        new = [0] * (len(out) + 1)
+        for i, x in enumerate(out):
+            if x == 0:
+                continue
+            for j, y in enumerate((-r, 1)):
+                new[i + j] += x * y
+        out = new
+    return out
+
+
+def _rational_tuple(rng, n):
+    den = rng.choice((1, 2, 3, 7, 12, 30))
+    return sorted(F(x, den) for x in rng.sample(range(-90, 90), n))
+
+
+def _bits(values):
+    return [x.hex() if isinstance(x, float) else repr(x) for x in values]
+
+
+class TestRootsToPoly:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_equals_fraction_product(self, n):
+        rng = random.Random(n)
+        for _ in range(25):
+            roots = _rational_tuple(rng, n)
+            want = _ref_from_roots(roots)
+            got = roots_to_poly(RootTuple(tuple(roots))).coeffs
+            assert got == tuple(want) and list(map(str, got)) == list(map(str, want))
+            assert all(type(c) is F for c in got)
+            # +inf drops the last factor, the ambient keeps n
+            inf = roots_to_poly(RootTuple(tuple(roots[:-1]) + (PLUS_INFINITY,))).coeffs
+            assert inf == tuple(_ref_from_roots(roots[:-1])) + (0,)
+            assert all(type(c) is F for c in inf)
+
+    def test_empty_and_integer_roots(self):
+        assert poly_from_roots(()) == (1,)
+        assert poly_from_roots((1, -2, 3)) == tuple(_ref_from_roots((1, -2, 3)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_float_bit_identical_to_product_loop(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(25):
+            roots = sorted(rng.uniform(-9, 9) for _ in range(n))
+            roots[rng.randrange(n)] = rng.choice((0.0, -0.0, 1e-300, 3.0))
+            roots = sorted(set(roots))
+            want = [float(x) for x in _float_product_loop(roots)]
+            got = roots_to_poly(RootTuple(tuple(roots)), len(roots) + 1).coeffs
+            assert _bits(got) == _bits(want + [0.0])
+            assert all(type(c) is float for c in got)
+
+
+class TestShiftArg:
+    @pytest.mark.parametrize("d", range(0, 9))
+    def test_exact_equals_binomial_expansion(self, d):
+        rng = random.Random(200 + d)
+        shifts = [F(0), F(-3), F(5, 7), F(-11, 4), F(1, 1000)]
+        for m in shifts + [F(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(5)]:
+            coeffs = tuple(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(d + 1))
+            got = poly_shift_arg(coeffs, m)
+            assert got == tuple(_ref_shift(coeffs, m))
+            assert all(type(c) is F for c in got)
+
+    def test_integer_inputs(self):
+        assert poly_shift_arg((0, 0, 1), 2) == (4, 4, 1)
+        assert poly_shift_arg((5,), -3) == (5,)
+
+    def test_float_input_is_horner_in_floats(self):
+        coeffs = (0.3, -1.7, 2.25, 1.0)
+        m = -0.6
+        want = (coeffs[-1],)
+        for c in reversed(coeffs[:-1]):
+            # (want * (x + m)) + c, coefficient by coefficient, as the float loop
+            want = tuple(a + b for a, b in zip((0,) + want, tuple(x * m for x in want) + (0,)))
+            want = (want[0] + c,) + want[1:]
+        assert _bits(poly_shift_arg(coeffs, m)) == _bits(want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_shift_difference_equals_fraction_difference(self, n):
+        rng = random.Random(300 + n)
+        for _ in range(10):
+            roots = _rational_tuple(rng, n)
+            m = F(rng.randint(-30, 30), rng.randint(1, 12))
+            f = _ref_from_roots(roots)
+            want = [a - b for a, b in zip(f, _ref_shift(f, -m))]
+            got = shift_difference(roots, m)
+            assert got == tuple(want) and all(type(c) is F for c in got)
+
+    def test_shift_difference_float_shift_takes_float_route(self):
+        roots = (F(0), F(2), F(5))
+        f = poly_from_roots(roots)
+        want = tuple(a - b for a, b in zip(f, poly_shift_arg(f, -0.5)))
+        assert _bits(shift_difference(roots, 0.5)) == _bits(want)
+
+
+class TestChargeOfPolyFloat:
+    @pytest.mark.parametrize("n", (2, 3, 5, 8))
+    def test_weights_bit_identical_to_fraction_scale(self, n):
+        rng = random.Random(400 + n)
+        for drop in (False, True):
+            for _ in range(10):
+                coeffs = [rng.uniform(-5, 5) for _ in range(n)] + [1.0]
+                if drop:
+                    coeffs[-1] = 0.0
+                f = Polynomial(tuple(coeffs), n)
+                top = f.degree
+                scale = float(F(1, math.factorial(top))) * (-1 if top < n else 1)
+                want = [scale * math.factorial(k) * c for k, c in enumerate(coeffs[:top + 1])]
+                got = charge_of_poly(f).weights
+                assert _bits(got) == _bits(want + [0.0] * (n - top))
+
+
+class TestOracleRoutines:
+    def test_lagrange_recovers_polynomial(self):
+        p = (F(3), F(-1, 2), F(0), F(2))
+        xs = [0, 1, -1, 2, 5]
+        ys = [sum(c * F(x) ** k for k, c in enumerate(p)) for x in xs]
+        assert lagrange_coeffs(xs, ys) == list(p)
+
+    def test_trim(self):
+        assert trim([1, 2, 0, 0]) == [1, 2]
+        assert trim([0, 0]) == [0]

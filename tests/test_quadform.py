@@ -214,6 +214,30 @@ class TestVerifySupport:
         assert roots_failures and not rep.pairing_ok
         assert all(len(f) == 2 and 0 < f[1] < math.pi for f in roots_failures)
 
+    def test_non_strict_line_reports_instead_of_raising(self):
+        # x^2 + 1 has no real roots: it stays out of the root cap, and the
+        # members whose roots are complex are reported as failures
+        line = Pencil(Polynomial((F(1), F(0), F(1)), 2),
+                      Polynomial((F(-3), F(1), F(0)), 2), strict=False)
+        rep = verify_support(q_line(line), line)
+        assert not rep.ok and not rep.pairing_ok
+        assert any(f[0] == "pairing-roots" for f in rep.failures)
+
+    def test_uncertified_degree_drop_member_is_one_failure(self):
+        # x^3 - x and x^2 + 1: the degree-drop member x^2 + 1 has complex roots
+        line = Pencil(Polynomial((F(0), F(-1), F(0), F(1)), 3),
+                      Polynomial((F(1), F(0), F(1), F(0)), 3), strict=False)
+        neg = QuadraticForm(tuple(tuple(F(-int(i == j)) for j in range(4)) for i in range(4)))
+        rep = verify_support(neg, line)
+        assert not rep.pairing_ok
+        assert [f for f in rep.failures if f[0].startswith("pairing-inf")] == [
+            ("pairing-inf-roots", 3)]
+
+    def test_strict_line_reports_unchanged(self):
+        line = Pencil.from_tuples(RT(F(0), F(2), F(4)), RT(F(1), F(3), F(5)))
+        data = quadform._line_data(line, 50)
+        assert data.drop_gammas is not None and len(data.drop_gammas) == 2
+
     def test_form_of_other_ambient_rejected(self):
         for dim in (2, 4):
             eye = QuadraticForm(tuple(tuple(F(int(i == j)) for j in range(dim))
@@ -292,6 +316,31 @@ class TestLineData:
         assert built == [2, 3, 4]
         assert rep == verify_support(Q, Pencil.from_tuples(s, t))
         assert built == [2, 3, 4, 4]
+
+
+class TestProjectionOncePerLevel:
+    def test_q_tilde_projects_each_level_once(self, monkeypatch):
+        calls = []
+        project = quadform.pencil_project
+
+        def counting(l):
+            calls.append(l.ambient)
+            return project(l)
+
+        monkeypatch.setattr(quadform, "pencil_project", counting)
+        line = Pencil.from_tuples(RT(F(0), F(2), F(4), F(6)), RT(F(1), F(3), F(5), F(7)))
+        Q = q_tilde(line)
+        assert calls == [4, 3, 2]
+        monkeypatch.undo()
+        assert Q == q_tilde(Pencil.from_tuples(RT(F(0), F(2), F(4), F(6)),
+                                               RT(F(1), F(3), F(5), F(7))))
+        assert Q.meta["alpha"] == q_tilde(line).meta["alpha"]
+
+    def test_q_line_with_given_projection(self):
+        from redstab.interlace import pencil_project
+
+        line = Pencil.from_tuples(RT(F(0), F(2), F(4)), RT(F(1), F(3), F(5)))
+        assert q_line(line, pencil_project(line)) == q_line(line)
 
 
 class TestExactPairing:
