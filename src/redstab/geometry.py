@@ -25,16 +25,13 @@ from .charge import (
     decompose,
     eval_charge,
     gamma,
-    poly_of_charge,
     reduced_charge,
 )
 from .errors import (
     AmbientMismatch,
-    ComplexRoots,
     IndexOutOfRange,
     InvalidParams,
     LatticeMismatch,
-    NotDistinctRoots,
     WrongSignature,
 )
 from .exact import coerce, exact_sqrt, inertia, is_exact
@@ -209,24 +206,25 @@ class FamilyCheckReport:
         return self.coherent == self.inequalities_hold
 
 
-def family_equiv_check(v, t, K_interval=None, beta=None, grid: int = 64) -> FamilyCheckReport:
+def family_equiv_check(v, t, beta=None, grid: int = 64) -> FamilyCheckReport:
     """Consistency check: the discriminant-family inequalities vs the sign verdict.
 
     With beta fixed, scans K * delta_H(v) + nabla^beta(v) >= 0 over a K grid
-    (the default interval at beta = t2 is the slice-derived
-    (3a, 3a + alpha_max^2/2)); a fixed beta sees only a one-parameter
-    subfamily and cannot detect every incoherent vector.  The default
-    (beta=None) therefore sweeps the whole two-parameter family of pencils
-    through the charge of t: each admissible pair (beta - alpha, beta + alpha)
-    interleaving t gives its own (K, beta).  The report labels the scan.
-    This is a consistency test, not a proof.
+    inside (3a, 3a + alpha_max^2/2), the interval the slice parameters of t
+    give at beta = t2; a fixed beta sees only a one-parameter subfamily and
+    cannot detect every incoherent vector.  The default (beta=None)
+    therefore sweeps the whole two-parameter family of pencils through the
+    charge of t: each admissible pair (beta - alpha, beta + alpha)
+    interleaving t gives its own (K, beta), exact on rational data (see
+    _family_value).  The report labels the scan.  This is a consistency
+    test, not a proof.
     """
     t = t if isinstance(t, RootTuple) else RootTuple(tuple(t))
     if t.n != 3 or t.has_infinity:
         raise AmbientMismatch("family check needs a finite 3-tuple")
     dec = decompose(v, t)  # raises NotInKernel when B_t(v) != 0
-    if beta is not None or K_interval is not None:
-        report = _fixed_beta_scan(v, t, K_interval, beta, grid)
+    if beta is not None:
+        report = _fixed_beta_scan(v, t, beta, grid)
     else:
         report = _pencil_family_scan(v, t, grid)
     report.verdict = dec.verdict
@@ -235,29 +233,28 @@ def family_equiv_check(v, t, K_interval=None, beta=None, grid: int = 64) -> Fami
     return report
 
 
-def _fixed_beta_scan(v, t, K_interval, beta, grid):
-    if beta is None:
-        beta = t.entries[1]
-    if K_interval is None:
-        pp = params_from_tuples(t)
-        amax = max_alpha(pp.a, pp.b)
-        lo = 3 * pp.a
-        hi = 3 * pp.a + amax * amax / 2
-    else:
-        lo, hi = K_interval
+def _inequality(dH, nab, K):
+    """The family value K * delta_H + nabla^beta and its float scale."""
+    return K * dH + nab, max(abs(float(dH)) * abs(float(K)), abs(float(nab)), 1.0)
+
+
+def _fixed_beta_scan(v, t, beta, grid):
+    pp = params_from_tuples(t)
+    amax = max_alpha(pp.a, pp.b)
+    lo = 3 * pp.a
+    hi = 3 * pp.a + amax * amax / 2
     # the grid values K join the group of the data they are paired with
     k_lo, span, *_ = coerce((lo, hi - lo, beta, *v))
     exact = is_exact(span)
+    dH, nab = delta_H(v), nabla_beta(v, beta)
     failures = []
     for i in range(grid):
         frac = K_GRID_MARGIN + (1 - 2 * K_GRID_MARGIN) * Fraction(i, max(grid - 1, 1))
         K = k_lo + frac * span
-        val = q_K_beta(v, K, beta)
-        if exact:
-            holds = val >= 0
+        if exact:  # no float scale: exact data may lie beyond the float range
+            holds = K * dH + nab >= 0
         else:
-            scale = max(abs(float(delta_H(v))) * abs(float(K)),
-                        abs(float(nabla_beta(v, beta))), 1.0)
+            val, scale = _inequality(dH, nab, K)
             holds = float(val) >= -1e-12 * scale
         if not holds:
             failures.append((K, beta))
@@ -265,13 +262,17 @@ def _fixed_beta_scan(v, t, K_interval, beta, grid):
                              f"fixed beta={beta}", (lo, hi), failures, False)
 
 
-def _family_value(v, t, Bt, r1, r2):
+def _family_value(v, dH, Bt, r1, r2):
     """Normalized inequality value of the pencil with drop member (r1, r2, inf).
 
-    Returns (value / scale, K, beta) or None when the pencil's middle member
-    fails root extraction.  The member has degree 3 (Br does not vanish at
-    beta), so the +inf padding cannot fail and extraction raises only
-    ComplexRoots or NotDistinctRoots.
+    The member M = x2 B_r - x1 B_t, with x_i the charges' values at
+    gamma(beta), vanishes at beta = (r1 + r2)/2 by construction, so its
+    cubic c3 x^3 + c2 x^2 + c1 x + c0 is (x - beta) q(x) with a quadratic q.
+    M has three distinct real roots with beta in the middle exactly when
+    c3 q(beta) < 0; the outer roots then have sum -q1/c3 and product q0/c3,
+    which give the slice parameters b and a at beta and so K, with no root
+    extraction.  Returns (value / scale, K, beta), or None when the middle
+    root test fails.
     """
     alpha = (r2 - r1) / 2
     beta = (r1 + r2) / 2
@@ -279,17 +280,21 @@ def _family_value(v, t, Bt, r1, r2):
     g_beta = gamma(beta, 3)
     x1 = eval_charge(Br, g_beta)
     x2 = eval_charge(Bt, g_beta)
-    member = Br.scaled(x2).plus(Bt.scaled(-x1))
-    try:
-        q = poly_of_charge(member).roots()
-    except (ComplexRoots, NotDistinctRoots):
+    # the member's coefficients up to the factor 3! of poly_of_charge
+    c0, c1, c2, c3 = (
+        (x2 * wr - x1 * wt) / math.factorial(k)
+        for k, (wr, wt) in enumerate(zip(Br.weights, Bt.weights)))
+    q1 = c2 + beta * c3
+    q0 = c1 + beta * q1
+    if not c3 * ((c3 * beta + q1) * beta + q0) < 0:
         return None
-    # a cubic's roots come out as floats; rationalized, they give an exact K
-    pp = params_from_tuples(tuple(Fraction(x).limit_denominator(10 ** 12) for x in q.entries))
-    K = (alpha * alpha + 6 * pp.a) / 2
-    val = q_K_beta(v, K, beta)
-    scale = max(abs(float(delta_H(v))) * abs(float(K)),
-                abs(float(nabla_beta(v, beta))), 1.0)
+    # the outer roots e0 < e2 around e1 = beta: 3b = e0 + e2 - 2 beta,
+    # 24a = (e2 - e0)^2 - 9 b^2 as in params_from_tuples
+    total, product = -q1 / c3, q0 / c3
+    b = (total - 2 * beta) / 3
+    a = (total * total - 4 * product - 9 * b * b) / 24
+    K = (alpha * alpha + 6 * a) / 2
+    val, scale = _inequality(dH, nabla_beta(v, beta), K)
     return (float(val) / scale, K, beta)
 
 
@@ -297,35 +302,35 @@ def _pencil_family_scan(v, t, grid):
     side = max(6, int(round(math.sqrt(grid))))
     t1, t2, t3 = t.entries
     Bt = reduced_charge(t)
+    dH = delta_H(v)
     failures = []
     best = None  # (normalized value, r1, r2)
     for i in range(1, side):
         r1 = t1 + (t2 - t1) * Fraction(i, side)
         for j in range(1, side):
             r2 = t2 + (t3 - t2) * Fraction(j, side)
-            out = _family_value(v, t, Bt, r1, r2)
+            out = _family_value(v, dH, Bt, r1, r2)
             if out is None:
                 continue
             norm, K, beta = out
             if best is None or norm < best[0]:
-                best = (norm, float(r1), float(r2))
+                best = (norm, r1, r2)
             if norm < -1e-9:
                 failures.append((K, beta))
     # the violating set can be thin: compass-search refinement around the
-    # smallest normalized value before concluding the family holds
+    # smallest normalized value before concluding the family holds; the
+    # steps are a share of each interval, halved exactly
     if not failures and best is not None:
-        lo1, hi1 = float(t1), float(t2)
-        lo2, hi2 = float(t2), float(t3)
-        step1 = (hi1 - lo1) / side
-        step2 = (hi2 - lo2) / side
-        _, r1, r2 = best
-        cur = best[0]
+        cur, r1, r2 = best
+        share = Fraction(1, side)
+        inset = Fraction(1, 10 ** 9)
         for _ in range(60):
+            step1, step2 = (t2 - t1) * share, (t3 - t2) * share
             moved = False
             for d1, d2 in ((step1, 0), (-step1, 0), (0, step2), (0, -step2)):
-                c1 = min(max(r1 + d1, lo1 + 1e-9), hi1 - 1e-9)
-                c2 = min(max(r2 + d2, lo2 + 1e-9), hi2 - 1e-9)
-                out = _family_value(v, t, Bt, c1, c2)
+                c1 = min(max(r1 + d1, t1 + inset), t2 - inset)
+                c2 = min(max(r2 + d2, t2 + inset), t3 - inset)
+                out = _family_value(v, dH, Bt, c1, c2)
                 if out is not None and out[0] < cur:
                     cur, r1, r2 = out[0], c1, c2
                     moved = True
@@ -335,10 +340,8 @@ def _pencil_family_scan(v, t, grid):
             if failures:
                 break
             if not moved:
-                step1 /= 2
-                step2 /= 2
-                if max(step1 / max(hi1 - lo1, 1e-30),
-                       step2 / max(hi2 - lo2, 1e-30)) < 1e-7:
+                share /= 2
+                if share < Fraction(1, 10 ** 7):
                     break
     return FamilyCheckReport("", False, not failures,
                              "pencil family", None, failures, False)

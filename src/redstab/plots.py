@@ -179,10 +179,10 @@ def figure_hilb(m: int, viewport=None, samples: int = 257, fmt: str = "svg") -> 
     cube = (6.0 * m) ** (1.0 / 3.0)
     boundary = hilb_boundary(m, t_range=(0.25 * cube, max(4.0 * cube, math.sqrt(x1))),
                              samples=samples)
-    red = hilb_wall_line(m, float(m_bound), u_range=None, samples=samples,
+    red = hilb_wall_line(m, float(m_bound), samples=samples,
                          label=f"boundary wall t1=-{m_bound}")
     red.meta["style"] = "stroke:#d62728;stroke-width:2;fill:none"
-    green = hilb_wall_line(m, float(n_bound), u_range=None, samples=samples,
+    green = hilb_wall_line(m, float(n_bound), samples=samples,
                            label=f"boundary wall t3=-{n_bound}")
     green.meta["style"] = "stroke:#2ca02c;stroke-width:2;fill:none"
     boundary.meta["style"] = "stroke:#1f77b4;stroke-dasharray:2 3;fill:none"

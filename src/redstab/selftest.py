@@ -7,7 +7,6 @@ pytest assertions and for the machine-readable selftest report.
 """
 
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -77,7 +76,6 @@ def _rand_interlaced_pair(rng, n, min_gap=Fraction(1, 2)):
 def criterion_1(pairs=500, oracle_samples=256, seed=0):
     """Interlacing oracle equivalence on random coefficient pairs."""
     rng = np.random.default_rng(seed)
-    t0 = time.time()
     disagreements = []
     checked = 0
     positives = 0
@@ -99,15 +97,13 @@ def criterion_1(pairs=500, oracle_samples=256, seed=0):
         "id": 1, "name": "interlacing oracle equivalence",
         "pass": not disagreements and checked > 0,
         "detail": {"checked": checked, "positives": positives,
-                   "disagreements": disagreements[:5],
-                   "seconds": round(time.time() - t0, 3)},
+                   "disagreements": disagreements[:5]},
     }
 
 
 def criterion_2(instances=200, seed=0, slack=1e-9):
     """Separation bounds for the derivative pencil and the shift pencil."""
     rng = np.random.default_rng(seed)
-    t0 = time.time()
     fails = []
     for _ in range(instances):
         n = int(rng.integers(2, 6))
@@ -130,15 +126,13 @@ def criterion_2(instances=200, seed=0, slack=1e-9):
     return {
         "id": 2, "name": "separation bounds (derivative and shift pencils)",
         "pass": not fails,
-        "detail": {"instances": instances, "failures": fails[:5],
-                   "seconds": round(time.time() - t0, 3)},
+        "detail": {"instances": instances, "failures": fails[:5]},
     }
 
 
 def criterion_3(instances=200, seed=0, slack=1e-9):
     """Closure: oriented interlaced summands stay interlaced with kept separation."""
     rng = np.random.default_rng(seed)
-    t0 = time.time()
     fails = []
     done = 0
     while done < instances:
@@ -173,8 +167,7 @@ def criterion_3(instances=200, seed=0, slack=1e-9):
     return {
         "id": 3, "name": "closure of oriented interlaced sums",
         "pass": not fails,
-        "detail": {"instances": done, "failures": fails[:5],
-                   "seconds": round(time.time() - t0, 3)},
+        "detail": {"instances": done, "failures": fails[:5]},
     }
 
 
@@ -254,7 +247,6 @@ def criterion_5(lines=50, seed=0):
 def criterion_6(lines=50, gamma_grid=100, members=50, seed=0, vanish_tol=1e-8):
     """Inductive support forms verify all three support properties."""
     rng = np.random.default_rng(seed)
-    t0 = time.time()
     fails = []
     alphas = []
     for _ in range(lines):
@@ -275,14 +267,13 @@ def criterion_6(lines=50, gamma_grid=100, members=50, seed=0, vanish_tol=1e-8):
         "id": 6, "name": "inductive support-form verification",
         "pass": not fails,
         "detail": {"lines": lines, "max_alpha": str(max(alphas, default=None)),
-                   "failures": fails[:5], "seconds": round(time.time() - t0, 3)},
+                   "failures": fails[:5]},
     }
 
 
 def criterion_7(draws=200, seed=0, boundary_tol=1e-8):
     """Sign-criterion agreement between the solver and the scan oracle."""
     rng = np.random.default_rng(seed)
-    t0 = time.time()
     fails = []
     flagged = 0
     zero_cases = 0
@@ -328,7 +319,7 @@ def criterion_7(draws=200, seed=0, boundary_tol=1e-8):
         "id": 7, "name": "kernel sign criterion vs scan oracle",
         "pass": not fails,
         "detail": {"draws": draws, "flagged": flagged, "zero_cases": zero_cases,
-                   "failures": fails[:5], "seconds": round(time.time() - t0, 3)},
+                   "failures": fails[:5]},
     }
 
 

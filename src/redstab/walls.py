@@ -92,39 +92,50 @@ def sb_v_surface(v, p_range=(-8.0, 8.0), samples: int = 200) -> WallLocus:
     )
 
 
+def _integer_cbrt(x: int) -> int:
+    """Largest integer c with c^3 <= x (x >= 1), by integer Newton steps."""
+    c = 1 << -(-x.bit_length() // 3)  # 2^ceil(bits/3) > cube root of x
+    while True:
+        d = (2 * c + x // (c * c)) // 3
+        if d >= c:
+            return c
+        c = d
+
+
 def hilb_bounds(m: int):
     """Integer bounds (N, M) for the point-class emptiness walls.
 
     N: smallest positive integer with (N+1)(N+2)(N+3) > 6m.
     M: largest positive integer with M^2 (M-4) < 6m and M <= m + 2.
 
-    Both cubics increase from 3 upward and M's inequality holds for every
-    M <= 4, so both searches count up from 1 in O(m^(1/3)) steps.
+    With c the integer cube root of 6m, (N+2)^3 > (N+1)(N+2)(N+3) > (N+1)^3
+    puts N at c - 1 or c.  M's cubic lies below M^3 and increases from 3
+    upward, so every M <= c qualifies, and M^2 (M-4) >= (M-2)^3 for M >= 6
+    bounds M by max(5, c + 2).  Both searches count up in a few steps.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    n = 1
+    c = _integer_cbrt(6 * m)
+    n = max(1, c - 1)
     while not (n + 1) * (n + 2) * (n + 3) > 6 * m:
         n += 1
-    big_m = 1
+    big_m = c
     while big_m < m + 2 and (big_m + 1) ** 2 * (big_m - 3) < 6 * m:
         big_m += 1
     return (n, big_m)
 
 
-def hilb_locus(m: int, t2_range=None, samples: int = 40) -> WallLocus:
+def hilb_locus(m: int, samples: int = 40) -> WallLocus:
     """Sampled interior of {t1 t2 t3 = -6m, t1 < t2 < t3 < 0}.
 
     Points are reported as (-sum t_i, sum t_i t_j) with the residual of the
-    defining kernel equation.
+    defining kernel equation; t2 runs over (-0.98, -0.05) times (6m)^(1/3).
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     cube = (6.0 * m) ** (1.0 / 3.0)
-    if t2_range is None:
-        t2_range = (-0.98 * cube, -0.05 * cube)
+    lo2, hi2 = -0.98 * cube, -0.05 * cube
     pts, res = [], []
-    lo2, hi2 = t2_range
     for i in range(samples):
         t2 = lo2 + (hi2 - lo2) * i / max(samples - 1, 1)
         # need t1 < min(t2, -6m / t2^2): ensures t2 < t3 < 0
@@ -181,21 +192,19 @@ def hilb_boundary(m: int, t_range=(0.3, 10.0), samples: int = 300) -> WallLocus:
     )
 
 
-def hilb_wall_line(m: int, root_value: float, u_range=None, samples: int = 120,
+def hilb_wall_line(m: int, root_value: float, samples: int = 120,
                    label: str = "") -> WallLocus:
     """Wall segment of the point-class locus with one parameter frozen.
 
     Freezing a root at -R turns the locus into the line (R + u, R u + 6m/R)
-    over u = -(sum of the other two roots); the segment starts at the
-    double-root value u = 2 sqrt(6m/R).
+    over u = -(sum of the other two roots); the segment runs from the
+    double-root value u = 2 sqrt(6m/R) to 60 beyond it.
     """
     big_r = float(root_value)
     if big_r <= 0:
         raise ValueError("root_value is the positive magnitude R with t = -R")
-    u_min = 2.0 * math.sqrt(6.0 * m / big_r)
-    if u_range is None:
-        u_range = (u_min, u_min + 60.0)
-    lo, hi = max(u_range[0], u_min), u_range[1]
+    lo = 2.0 * math.sqrt(6.0 * m / big_r)
+    hi = lo + 60.0
     pts, res = [], []
     for i in range(samples):
         u = lo + (hi - lo) * i / max(samples - 1, 1)

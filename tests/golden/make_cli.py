@@ -5,10 +5,12 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/make_cli.py
 
 Each case is one argv; its stdout is stored in ``cli/<name>.<ext>``.  The
-cases are the JSON examples of the README (the reduced selftest report has
-its ``seconds`` fields scrubbed by the CLI), both figures (the surface figure
-and the point-class figure) as SVG, the exact weights of a four-entry tuple,
-and a degree-3 restriction whose roots go through the exact Newton polish.
+cases are the JSON examples of the README (the reduced selftest report
+carries no timings), both figures (the surface figure and the point-class
+figure) as SVG, the exact weights of a four-entry tuple, a degree-3
+restriction whose roots go through the exact Newton polish, and the
+discriminant-family check twice: the default pencil-family scan on a
+coherent kernel vector and a fixed-beta scan on a mixed one.
 ``tests/test_golden.py`` runs every case in-process and compares the output
 byte for byte; it never writes the files.
 """
@@ -34,6 +36,11 @@ CASES = {
     "charge_weights.json": ["charge", "weights", "--roots", '["-2","1/3","5/2","4"]'],
     "restrict_xi_degree3.json": ["restrict", "xi", "--roots", '["0","2","4","7"]',
                                  "--m", "1"],
+    "geom_family.json": ["geom", "family", "--roots", '["-2","1/3","3"]',
+                         "--v", '["1/2","7/6","-149/36","-293/324"]'],
+    "geom_family_beta.json": ["geom", "family", "--roots", '["-2","1/3","3"]',
+                              "--v", '["5/2","-17/6","-5/36","-1157/324"]',
+                              "--beta", "1/3"],
 }
 
 

@@ -33,7 +33,7 @@ from redstab.geometry import (
     validity_iff_interlaced,
 )
 from redstab.geometry import _family_value
-from redstab.interlace import PLUS_INFINITY, Polynomial, RootTuple
+from redstab.interlace import PLUS_INFINITY, RootTuple
 
 
 def RT(*xs):
@@ -219,17 +219,38 @@ class TestFamilyEquivCheck:
         assert total > 80 and agree == total
 
 
-def test_family_value_lets_unrelated_errors_through(monkeypatch):
+# (r1, r2) -> (exact K, K of the former float-root route rationalized with
+# limit_denominator(10**12), as a float)
+_FAMILY_K = {
+    (F(1, 2), F(5, 2)): (F(21, 8), 2.625),
+    (F(1, 2), F(3)): (F(55, 16), 3.4374999999999996),
+    (F(1, 2), F(4)): (F(75, 16), 4.6875),
+    (F(1), F(5, 2)): (F(47, 16), 2.9375),
+    (F(1), F(3)): (F(7, 2), 3.5),
+    (F(1), F(4)): (F(17, 4), 4.25),
+    (F(3, 2), F(5, 2)): (F(25, 8), 3.125),
+    (F(3, 2), F(3)): (F(55, 16), 3.4375),
+    (F(3, 2), F(4)): (F(59, 16), 3.6875),
+}
+
+
+def test_family_value_deflates_the_member():
     t = RT(F(0), F(2), F(5))
-    v = (F(1), F(0), F(0), F(-1))
-    assert _family_value(v, t, reduced_charge(t), F(1), F(3)) is not None
-
-    def broken(self):
-        raise TypeError("not a root-extraction failure")
-
-    monkeypatch.setattr(Polynomial, "roots", broken)
-    with pytest.raises(TypeError):
-        _family_value(v, t, reduced_charge(t), F(1), F(3))
+    a = (F(1), F(-2), F(1, 2))
+    cols = [gamma(x, 3) for x in t.entries]
+    v = tuple(sum(((-1) ** (i + 1)) * a[i] * cols[i][r] for i in range(3)) for r in range(4))
+    for (r1, r2), (exact_K, float_route_K) in _FAMILY_K.items():
+        out = _family_value(v, delta_H(v), reduced_charge(t), r1, r2)
+        assert out is not None  # beta passes the middle-root test
+        norm, K, beta = out
+        assert beta == (r1 + r2) / 2
+        assert K == exact_K and abs(float(K) - float_route_K) <= 1e-12 * abs(float_route_K)
+        assert norm == float(q_K_beta(v, K, beta)) / max(
+            abs(float(delta_H(v))) * abs(float(K)), abs(float(nabla_beta(v, beta))), 1.0)
+    # pairs that do not interleave t: beta is the smallest root of the member
+    # (roots -2, -1.27, 66.3) or its largest (-76.3, 6.29, 7)
+    for r1, r2 in ((F(-3), F(-1)), (F(6), F(8))):
+        assert _family_value(v, delta_H(v), reduced_charge(t), r1, r2) is None
 
 
 def small_lattice():

@@ -59,6 +59,14 @@ class TestHilbBounds:
                         if k * k * (k - 4) < 6 * m and k <= m + 2)
             assert hilb_bounds(m) == (n_val, m_val)
 
+    def test_huge_m_by_the_definitions(self):
+        m = 10 ** 30
+        n_val, m_val = hilb_bounds(m)
+        assert (n_val + 1) * (n_val + 2) * (n_val + 3) > 6 * m
+        assert not n_val * (n_val + 1) * (n_val + 2) > 6 * m
+        assert m_val * m_val * (m_val - 4) < 6 * m and m_val <= m + 2
+        assert not (m_val + 1) ** 2 * (m_val - 3) < 6 * m
+
 
 class TestHilbLoci:
     def test_boundary_point(self):
