@@ -252,14 +252,26 @@ def is_negative_definite(gram):
     Exact principal-minor test on rational input ((-1)^k * minor_k > 0);
     eigenvalue fallback with margin for float input.  The empty matrix is
     negative definite by convention.
+
+    The exact test is one fraction-free Bareiss pass without pivoting over
+    the rows scaled to integers: the k-th pivot is the k-th leading minor
+    times the (positive) row scales, so it has the minor's sign, and the
+    pass stops at the first pivot of the wrong sign.
     """
     n = len(gram)
     if n == 0:
         return True
     if all(all_exact(row) for row in gram):
-        for k, minor in enumerate(leading_principal_minors(gram), start=1):
-            if (minor if k % 2 == 0 else -minor) <= 0:
+        m = [integer_scaled(row)[0] for row in gram]
+        prev = 1
+        for k in range(n):
+            pivot = m[k][k]
+            if (pivot if k % 2 else -pivot) <= 0:
                 return False
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            prev = pivot
         return True
     w = np.linalg.eigvalsh(np.array(gram, dtype=float))
     scale = max(1.0, float(np.max(np.abs(w))))

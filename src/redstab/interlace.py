@@ -15,8 +15,10 @@ also importable from here.  Root extraction (with Newton
 polishing) and pencil separation are the only float-producing steps.  They
 share one solver, _companion_eigvals, which takes a stack of coefficient
 rows: Polynomial.roots passes one row, member_roots the full-degree members
-of a pencil sample, sep_pencil its angle samples.  They also share one
-degree-drop rule, _effective_degree: leading coefficients at most
+of a pencil sample, sep_pencil its angle samples.  A stack is Newton-polished
+in one array pass, and member_roots solves full-degree quadratics by the
+closed form on arrays, in the scalar routes' operation order.  They also
+share one degree-drop rule, _effective_degree: leading coefficients at most
 LEAD_ZERO_TOL times the largest one drop one after another.
 """
 
@@ -293,13 +295,15 @@ def member_roots(rows, ambient) -> list:
 
     Per row, the entries Polynomial(row, ambient).roots() certifies (+inf
     last on a degree drop), or None where it raises ComplexRoots or
-    NotDistinctRoots.  Rows of full degree above 2 are solved as one stack
-    by _polished_eigvals; the others go through Polynomial.roots().
+    NotDistinctRoots.  The full-degree rows are solved as one stack: at
+    ambient 2 by the closed-form quadratic on arrays (_quadratic_roots), above
+    it by _polished_eigvals.  Rows that drop degree, and ambient 1, go through
+    Polynomial.roots().
     """
     out = [None] * len(rows)
     full = []
     for i, row in enumerate(rows):
-        if ambient > 2 and _effective_degree(row) == ambient:
+        if ambient > 1 and _effective_degree(row) == ambient:
             full.append(i)
             continue
         try:
@@ -307,13 +311,28 @@ def member_roots(rows, ambient) -> list:
         except (ComplexRoots, NotDistinctRoots):
             pass
     if full:
-        for i, roots in zip(full, _polished_eigvals(np.array([rows[i] for i in full]))):
+        solve = _quadratic_roots if ambient == 2 else _polished_eigvals
+        for i, roots in zip(full, solve(np.array([rows[i] for i in full]))):
             if roots is not None:
                 try:
                     out[i] = _distinct_sorted(roots)
                 except NotDistinctRoots:
                     pass
     return out
+
+
+def _quadratic_roots(rows):
+    """The closed-form roots of a stack of full-degree float quadratics (c0, c1, c2).
+
+    Per row, the two roots in _extract_roots' operation order, or None where
+    the discriminant is not positive (a complex pair or a double root).
+    """
+    c0, c1, c2 = rows.T
+    disc = c1 * c1 - 4 * c0 * c2
+    with np.errstate(invalid="ignore"):
+        sq = np.sqrt(disc)
+    roots = np.stack(((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)), axis=1)
+    return [None if d <= 0 else r for d, r in zip(disc.tolist(), roots.tolist())]
 
 
 def _effective_degree(row) -> int:
@@ -332,20 +351,48 @@ def _effective_degree(row) -> int:
 def _polished_eigvals(rows) -> list:
     """Newton-polished real eigenvalues of a stack of full-degree float rows.
 
-    Per row, the real parts of its _companion_eigvals after _newton_polish,
-    or None when an imaginary part exceeds ROOT_IMAG_TOL relative to
-    max(1, largest |eigenvalue|).  Each row is treated on its own, so a row
-    gets the same answer alone as inside a stack.
+    Per row, the real parts of its _companion_eigvals after three Newton
+    steps, or None when an imaginary part exceeds ROOT_IMAG_TOL relative to
+    max(1, largest |eigenvalue|).  A stack is polished in one array pass
+    (_newton_polish_rows), a single row by the scalar _newton_polish, which
+    numpy's per-call cost would otherwise slow fivefold; both take the same
+    steps in the same order, so a row gets the same answer alone as inside a
+    stack.
     """
-    out = []
-    for row, eig in zip(rows.tolist(), _companion_eigvals(rows)):
-        scale = max(1.0, float(np.max(np.abs(eig))))
-        if float(np.max(np.abs(eig.imag))) > ROOT_IMAG_TOL * scale:
-            out.append(None)
-            continue
+    eig = _companion_eigvals(rows)
+    scale = np.fmax(1.0, np.max(np.abs(eig), axis=1))
+    real = ~(np.max(np.abs(eig.imag), axis=1) > ROOT_IMAG_TOL * scale)
+    if len(rows) == 1:
+        row = rows[0].tolist()
         drow = [k * c for k, c in enumerate(row)][1:]
-        out.append([_newton_polish(row, drow, float(x)) for x in eig.real])
-    return out
+        polished = [[_newton_polish(row, drow, x) for x in eig.real[0].tolist()]]
+    else:
+        polished = _newton_polish_rows(rows, eig.real).tolist()
+    return [x if ok else None for x, ok in zip(polished, real.tolist())]
+
+
+def _newton_polish_rows(rows, x, steps=3):
+    """_newton_polish of every root of a stack at once; x has shape (rows, degree).
+
+    Horner runs in poly_eval's order.  A root whose derivative is 0 stays
+    where it is for the remaining steps, as the scalar loop breaks there.
+    """
+    drows = rows[:, 1:] * np.arange(1, rows.shape[1])
+    moving = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            d = _horner_rows(drows, x)
+            moving &= d != 0
+            x = np.where(moving, x - _horner_rows(rows, x) / d, x)
+    return x
+
+
+def _horner_rows(rows, x):
+    """poly_eval of each row of a coefficient stack at the points of x's row."""
+    acc = np.zeros_like(x)
+    for k in range(rows.shape[1] - 1, -1, -1):
+        acc = acc * x + rows[:, k, None]
+    return acc
 
 
 def _distinct_sorted(roots) -> tuple:

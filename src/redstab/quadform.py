@@ -6,13 +6,22 @@ on sign-coherent kernel vectors, and is seminegative on the line's common
 kernel.  The inductive form adds a large multiple of the line form to the
 (embedded) form of the projected line, tightening seminegative to negative
 definite; the weight is found by doubling and certified by re-verification.
-The doubling ladder reuses the line's data (kernel basis, member roots and
-their gamma vectors, degree-drop member) on every rung of a level, and
-pairs all sampled members in one batch.  That record is kept on the Pencil
-object per sample count, so verify_support(q_tilde(l), l) builds the top
-level once; the member roots are solved as one stack (interlace.member_roots).
-Exact fallbacks of the pairings and kernel restrictions of an exact form sum
-on integers over one common denominator (exact.integer_scaled).
+
+One check routine, _check_support, decides a form from its parts on a
+line's data (_FormParts): the exact vanishing coefficients, the Gram matrix
+on the line's kernel, the float member and degree-drop pairings with their
+absolute-term sums, and cached exact pairings.  The line's data (kernel
+basis, member roots and their gamma vectors, degree-drop member) is built
+once per Pencil object and sample count, so verify_support(q_tilde(l), l)
+builds the top level once; the member roots are solved as one stack
+(interlace.member_roots).  Every part is linear in the form, so the
+doubling ladder computes the parts of the line form and of the embedded
+lower form once per level, and each rung alpha decides alpha * line + lower
+from them (one exact definiteness test and a few array operations); only
+the passing form is built.  verify_support runs the same routine on the
+parts of its single form.  Exact pairings, kernel restrictions and
+vanishing coefficients sum on integers over one common denominator
+(exact.integer_scaled).
 
 Vanishing of an exact form on the twisted curve is proved on the whole
 curve, +inf included, by the coefficient identity: Q(gamma(t)) is the
@@ -25,6 +34,7 @@ convention difference some displays use.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -158,12 +168,6 @@ class QuadraticForm:
                                    for r1, r2 in zip(self.gram, other.gram)))
 
 
-def _sym_outer(u, w):
-    n = len(u)
-    return [[Fraction(1, 2) * (u[i] * w[j] + u[j] * w[i]) for j in range(n)]
-            for i in range(n)]
-
-
 def zero_form(dim: int) -> QuadraticForm:
     return QuadraticForm(tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim)))
 
@@ -202,10 +206,27 @@ def q_line(l: Pencil, proj: Pencil | None = None) -> QuadraticForm:
     ``proj`` is pencil_project(l) when the caller has already computed it.
     """
     b_line, b_proj = line_charges(l, proj)
-    g1 = _sym_outer(b_line.weights, tilde(b_proj).weights)
-    g2 = _sym_outer(b_proj.weights, tilde(b_line).weights)
-    gram = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(g1, g2))
+    gram = _line_gram(b_line.weights, tilde(b_proj).weights,
+                      b_proj.weights, tilde(b_line).weights)
     return QuadraticForm(gram, {"construction": "line", "ambient": l.ambient})
+
+
+def _line_gram(u, w, x, y):
+    """Symmetrized (u w^T - x y^T): entry (i, j) is (u_i w_j + u_j w_i - x_i y_j - x_j y_i) / 2.
+
+    Exact weights are scaled to integers over one common denominator
+    (exact.integer_scaled), so each entry is one Fraction; float weights keep
+    the float products.
+    """
+    n = len(u)
+    if not all_exact(u + w + x + y):
+        return tuple(tuple(0.5 * (u[i] * w[j] + u[j] * w[i]) - 0.5 * (x[i] * y[j] + x[j] * y[i])
+                           for j in range(n)) for i in range(n))
+    ints, den = integer_scaled(u + w + x + y)
+    u, w, x, y = (ints[k * n:(k + 1) * n] for k in range(4))
+    den = 2 * den * den
+    return tuple(tuple(Fraction(u[i] * w[j] + u[j] * w[i] - x[i] * y[j] - x[j] * y[i], den)
+                       for j in range(n)) for i in range(n))
 
 
 def kernel_of_line(l: Pencil):
@@ -337,34 +358,95 @@ def verify_support(Q: QuadraticForm, l: Pencil, samples: int = 50,
     """
     if Q.dim != l.ambient + 1:
         raise ValueError("vector length mismatch")
-    return _check_support(Q, _line_data(l, samples), margin, vanish_tol, grid)
+    data = _line_data(l, samples)
+    return _check_support(_form_parts(Q, data), data, margin, vanish_tol, grid)
 
 
-def _check_support(Q, data, margin, vanish_tol=1e-8, grid=100):
+@dataclass
+class _FormParts:
+    """What the support check reads of one form on one line's data.
+
+    ``coeffs`` are the vanishing coefficients c_0, ..., c_2n of an exact form;
+    a float form has None there and is kept in ``form`` for its grid check.
+    ``restricted`` is the form's Gram matrix on the line's kernel; ``total``
+    and ``abssum`` are the float member pairings and their absolute-term
+    sums, of shape (members, n, n); ``drop`` holds (value, absolute-term sum)
+    of each degree-drop gamma against gamma(+inf).  ``exact_pair(key, u, v)``
+    is the exact pairing P(u, v), computed once per key.  Every part is
+    linear in the form.
+    """
+
+    form: QuadraticForm | None
+    coeffs: list | None
+    restricted: list
+    total: np.ndarray
+    abssum: np.ndarray
+    drop: list
+    exact_pair: Callable
+
+    def combined(self, alpha, other: "_FormParts") -> "_FormParts":
+        """The parts of alpha * (this form) + (other form); both exact, alpha > 0.
+
+        The exact parts combine exactly.  The float pairings become
+        alpha * T + T' with absolute-term sum alpha * A + A', which bounds the
+        combined form's own sum; the rounding of alpha * T + T' stays near
+        1e-15 of that bound, far inside the cut max(margin, 1e-9), so a
+        pairing outside the cut has the sign of its exact value, as in the
+        combined form's own check.  A pairing within the cut is decided
+        exactly as alpha * P(u, v) + P'(u, v) from the two forms' cached
+        exact pairings.
+        """
+        fa = float(alpha)
+        return _FormParts(
+            None,
+            [alpha * a + b if a else b for a, b in zip(self.coeffs, other.coeffs)],
+            [[alpha * a + b for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.restricted, other.restricted)],
+            fa * self.total + other.total,
+            fa * self.abssum + other.abssum,
+            [(fa * v1 + v2, fa * s1 + s2) for (v1, s1), (v2, s2) in zip(self.drop, other.drop)],
+            lambda key, u, v: alpha * self.exact_pair(key, u, v) + other.exact_pair(key, u, v))
+
+
+def _form_parts(Q: QuadraticForm, data: _LineData) -> _FormParts:
+    """The parts of one form on a line's data."""
+    memo = {}
+
+    def exact_pair(key, u, v):
+        if key not in memo:
+            memo[key] = Q.pair_exact(u, v)
+        return memo[key]
+
+    exact = Q.is_exact()
+    total, abssum = _member_pairings(Q, data.stack)
+    return _FormParts(None if exact else Q, _vanishing_coeffs(Q) if exact else None,
+                      _restricted_gram(Q, data.kernel), total, abssum,
+                      [Q.pair_float_with_scale(g, data.einf) for g in data.drop_gammas or ()],
+                      exact_pair)
+
+
+def _check_support(parts: _FormParts, data: _LineData, margin, vanish_tol=1e-8, grid=100):
+    """The support check of verify_support on one form's parts."""
     n = data.ambient
-    ts = [Fraction(k - grid // 2, 3) for k in range(grid)]
-    if Q.is_exact():
-        max_resid = 0.0
-        failures = _exact_vanishing_failures(Q, ts)
+    if parts.coeffs is not None:
+        max_resid, failures = 0.0, _exact_vanishing_failures(parts.coeffs, n, grid)
     else:
-        max_resid, failures = _float_vanishing_failures(Q, n, ts, vanish_tol)
+        max_resid, failures = _float_vanishing_failures(parts.form, n, grid, vanish_tol)
     ok_a = not failures
 
-    restricted = _restricted_gram(Q, data.kernel)
-    ok_b = is_negative_definite(restricted)
+    ok_b = is_negative_definite(parts.restricted)
     if not ok_b:
-        failures.append(("kernel", restricted))
+        failures.append(("kernel", parts.restricted))
 
-    bad = _member_pairing_failures(Q, data, margin)
+    bad = _member_pairing_failures(parts, data, margin)
     # degree-drop member (r_1, ..., r_(n-1), +inf): only the pairs against
     # gamma(+inf) are strict at this level (the finite pairs are the projected
     # line's conditions, verified one ambient lower)
     if data.drop_gammas is None:
         bad.append(("pairing-inf-roots", n))
-    for i, g in enumerate(data.drop_gammas or ()):
-        val, abssum = Q.pair_float_with_scale(g, data.einf)
+    for i, (g, (val, abssum)) in enumerate(zip(data.drop_gammas or (), parts.drop)):
         if abs(val) <= max(margin, 1e-9) * abssum:
-            val = Q.pair_exact(g, data.einf)
+            val = parts.exact_pair(("inf", i), g, data.einf)
         signed = val if (i + 1 + n) % 2 == 0 else -val
         if not signed > 0:
             bad.append(("pairing-inf", i + 1, n, float(val)))
@@ -372,28 +454,44 @@ def _check_support(Q, data, margin, vanish_tol=1e-8, grid=100):
     return SupportReport(ok_a, ok_b, not bad, max_resid, failures)
 
 
-def _exact_vanishing_failures(Q, ts):
+def _grid_points(grid):
+    """The vanishing check's parameter grid: ``grid`` points k/3 around 0."""
+    return [Fraction(k - grid // 2, 3) for k in range(grid)]
+
+
+def _vanishing_coeffs(Q):
+    """Coefficients c_m = sum over i+j=m of G_ij / (i! j!) of t -> Q(gamma(t)), Q exact.
+
+    The Gram matrix is scaled to integers (exact.integer_scaled) and every
+    term brought over (n!)^2, so each coefficient is one Fraction.
+    """
     n = Q.ambient
     fact = [math.factorial(k) for k in range(n + 1)]
-    coeffs = [Fraction(0)] * (2 * n + 1)
-    for i, row in enumerate(Q.gram):
-        for j, g in enumerate(row):
-            if g:
-                coeffs[i + j] += Fraction(g, fact[i] * fact[j])
+    top = fact[n] * fact[n]
+    gi, dg = integer_scaled(x for row in Q.gram for x in row)
+    sums = [0] * (2 * n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if g := gi[i * (n + 1) + j]:
+                sums[i + j] += g * (top // (fact[i] * fact[j]))
+    return [Fraction(c, dg * top) for c in sums]
+
+
+def _exact_vanishing_failures(coeffs, n, grid):
     if not any(coeffs):
         return []
-    failures = [("vanishing", t, val) for t in ts
+    failures = [("vanishing", t, val) for t in _grid_points(grid)
                 if (val := poly_eval(coeffs, t)) != 0]
-    val = Q(gamma(PLUS_INFINITY, n))
+    val = coeffs[-1] * math.factorial(n) ** 2    # G_nn, the value at +inf
     if val != 0:
         failures.append(("vanishing", PLUS_INFINITY, val))
     return failures
 
 
-def _float_vanishing_failures(Q, n, ts, vanish_tol):
+def _float_vanishing_failures(Q, n, grid, vanish_tol):
     max_resid = 0.0
     failures = []
-    for t in ts + [PLUS_INFINITY]:
+    for t in _grid_points(grid) + [PLUS_INFINITY]:
         g = gamma(float(t) if t != PLUS_INFINITY else t, n)
         val = Q(g)
         scale = sum(abs(float(Q.gram[i][j])) * abs(float(g[i])) * abs(float(g[j]))
@@ -405,18 +503,13 @@ def _float_vanishing_failures(Q, n, ts, vanish_tol):
     return max_resid, failures
 
 
-def _member_pairing_failures(Q, data, margin):
-    """Records where (-1)^(i+j) P(gamma_i, gamma_j) fails > 0 on a sampled member.
+def _member_pairings(Q, stack):
+    """Float pairings P(gamma_a, gamma_b) of every sampled member, with absolute-term sums.
 
     All pairings of all members are summed at once, term by term in the
-    order of pair_float_with_scale, so every float value and absolute-term
-    sum is the scalar loop's to the bit.  A value within max(margin, 1e-9)
-    of its absolute-term sum, or not finite, is recomputed exactly, so
-    wildly different magnitudes across the matrix cannot mask a sign.
-    Members whose roots failed certification report ("pairing-roots", theta)
-    in their place in the sampling order.
+    order of pair_float_with_scale, so every value and sum is the scalar
+    loop's to the bit.
     """
-    stack = data.stack
     m = stack.shape[1]
     total = np.zeros((len(stack), m, m))
     abssum = np.zeros((len(stack), m, m))
@@ -428,20 +521,32 @@ def _member_pairing_failures(Q, data, margin):
             term = (left * float(g))[:, :, None] * stack[:, None, :, j]
             total += term
             abssum += np.abs(term)
+    return total, abssum
+
+
+def _member_pairing_failures(parts, data, margin):
+    """Records where (-1)^(i+j) P(gamma_i, gamma_j) fails > 0 on a sampled member.
+
+    A value within max(margin, 1e-9) of its absolute-term sum, or not
+    finite, is decided exactly, so wildly different magnitudes across the
+    matrix cannot mask a sign.  Members whose roots failed certification
+    report ("pairing-roots", theta) in their place in the sampling order.
+    """
+    total = parts.total
+    m = total.shape[1]
     sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
     with np.errstate(invalid="ignore"):
-        flagged = ~(np.abs(total) > max(margin, 1e-9) * abssum)
+        flagged = ~(np.abs(total) > max(margin, 1e-9) * parts.abssum)
         wrong = ~(sign * total > 0)
-    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    suspect = (flagged | wrong) & np.triu(np.ones((m, m), dtype=bool), 1)
     rooted = [gam for _, gam in data.members if gam is not None]
     found = {}
-    for k, a, b in np.argwhere((flagged | wrong) & upper).tolist():
-        if flagged[k, a, b]:
-            val = Q.pair_exact(rooted[k][a], rooted[k][b])
+    for (k, a, b), exact, val in zip(np.argwhere(suspect).tolist(), flagged[suspect].tolist(),
+                                     total[suspect].tolist()):
+        if exact:
+            val = parts.exact_pair((k, a, b), rooted[k][a], rooted[k][b])
             if (val if (a + b) % 2 == 0 else -val) > 0:
                 continue
-        else:
-            val = total[k, a, b]
         found.setdefault(k, []).append((a + 1, b + 1, float(val)))
     failures = []
     k = 0
@@ -454,34 +559,53 @@ def _member_pairing_failures(Q, data, margin):
     return failures
 
 
+def _embedded(Q: QuadraticForm) -> QuadraticForm:
+    """A form of ambient n - 1 as a form of ambient n: one zero row and column more."""
+    rows = [tuple(row) + (Fraction(0),) for row in Q.gram]
+    rows.append(tuple(Fraction(0) for _ in range(Q.dim + 1)))
+    return QuadraticForm(tuple(rows))
+
+
 def q_tilde(l: Pencil, samples: int = 50) -> QuadraticForm:
     """Inductive support form: alpha * q_line + embedded form of the projection.
 
     The base ambient 1 returns the zero form.  The weight alpha starts at 1
     and doubles until the support check of verify_support passes; the line's
     data (kernel, member roots, degree-drop member) is computed once per
-    level and reused on every rung.  Failure to find a weight below the cap
-    raises AlphaSearchFailed with the failing report.
+    level.  Every input of the check is linear in alpha, so on an exact line
+    the parts of the line form and of the embedded lower form are computed
+    once per level and each rung combines them (_FormParts.combined); only
+    the passing form is built.  Failure to find a weight below the cap
+    raises AlphaSearchFailed with the last candidate's own report.
     """
     n = l.ambient
     if n == 1:
         return zero_form(2)
     proj = pencil_project(l)
-    lower = q_tilde(proj, samples=samples)
-    padded_rows = [tuple(row) + (Fraction(0),) for row in lower.gram]
-    padded_rows.append(tuple(Fraction(0) for _ in range(n + 1)))
-    lower_padded = QuadraticForm(tuple(padded_rows))
+    lower = _embedded(q_tilde(proj, samples=samples))
     line_form = q_line(l, proj)
     data = _line_data(l, samples)
+
+    def candidate(alpha):
+        return line_form.scaled(alpha).plus(lower)
+
+    if line_form.is_exact() and lower.is_exact():
+        line_parts, lower_parts = _form_parts(line_form, data), _form_parts(lower, data)
+
+        def rung(alpha):
+            return line_parts.combined(alpha, lower_parts)
+    else:   # a float line: each candidate's float Gram is rounded on its own
+        def rung(alpha):
+            return _form_parts(candidate(alpha), data)
+
     alpha = Fraction(1)
-    report = None
     while alpha <= ALPHA_CAP:
-        candidate = line_form.scaled(alpha).plus(lower_padded)
-        report = _check_support(candidate, data, SUPPORT_MARGIN)
-        if report.ok:
+        if _check_support(rung(alpha), data, SUPPORT_MARGIN).ok:
             meta = {"construction": "inductive", "alpha": alpha, "ambient": n}
-            return QuadraticForm(candidate.gram, meta)
+            return QuadraticForm(candidate(alpha).gram, meta)
         alpha *= 2
+    last = candidate(alpha / 2)
+    report = _check_support(_form_parts(last, data), data, SUPPORT_MARGIN)
     raise AlphaSearchFailed(f"no alpha below {ALPHA_CAP}; last failures: {report.failures[:3]}")
 
 

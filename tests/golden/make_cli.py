@@ -10,7 +10,9 @@ carries no timings), both figures (the surface figure and the point-class
 figure) as SVG, the exact weights of a four-entry tuple, a degree-3
 restriction whose roots go through the exact Newton polish, and the
 discriminant-family check twice: the default pencil-family scan on a
-coherent kernel vector and a fixed-beta scan on a mixed one.
+coherent kernel vector and a fixed-beta scan on a mixed one.  The support
+check is pinned twice on one line: its own ``q_tilde`` form passes, and the
+negated form fails with a ``kernel`` record and float ``pairing`` records.
 ``tests/test_golden.py`` runs every case in-process and compares the output
 byte for byte; it never writes the files.
 """
@@ -41,6 +43,12 @@ CASES = {
     "geom_family_beta.json": ["geom", "family", "--roots", '["-2","1/3","3"]',
                               "--v", '["5/2","-17/6","-5/36","-1157/324"]',
                               "--beta", "1/3"],
+    "quadform_verify.json": ["quadform", "verify", "--s", '["0","2","4"]',
+                             "--t", '["1","3","5"]'],
+    "quadform_verify_negated.json": [
+        "quadform", "verify", "--s", '["0","2","4"]', "--t", '["1","3","5"]',
+        "--gram", '[["0","0","17/2","-15/2"],["0","-17/2","5/2","3"],'
+                  '["17/2","5/2","-4","0"],["-15/2","3","0","0"]]'],
 }
 
 

@@ -234,6 +234,26 @@ class TestInertia:
         assert not is_negative_definite([[F(-1), F(2)], [F(2), F(-1)]])
         assert is_negative_definite([])
 
+    def test_negative_definite_equals_minor_signs(self):
+        # the one-pass Bareiss test against the sign rule on every leading minor
+        rng = random.Random(14)
+        verdicts = set()
+        for _ in range(600):
+            n = rng.randint(1, 5)
+            g = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = (F(rng.randint(-9, 9), rng.randint(1, 6))
+                                         - (rng.randint(0, 12) if i == j else 0))
+            if rng.random() < 0.2:    # a zero pivot
+                k = rng.randrange(n)
+                g[k][k] = F(0)
+            want = all((m if k % 2 == 0 else -m) > 0
+                       for k, m in enumerate(leading_principal_minors(g), start=1))
+            assert is_negative_definite(g) == want
+            verdicts.add(want)
+        assert verdicts == {False, True}
+
     def test_degenerate_shapes_fuzz(self, rng):
         # rank-deficient products, hyperbolic blocks, and zeroed rows
         for trial in range(120):

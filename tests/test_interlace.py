@@ -21,7 +21,9 @@ from redstab.interlace import (
     RootTuple,
     _companion_eigvals,
     _effective_degree,
+    _newton_polish,
     _newton_polish_exact,
+    _newton_polish_rows,
     _polished_eigvals,
     _sep_batch,
     _sep_of_row,
@@ -159,6 +161,13 @@ class TestMemberRoots:
                     theta = math.pi * (k + 0.5) / 40 if k else 0.75 * math.pi
                     c, s = math.cos(theta), math.sin(theta)
                     yield n, [c * x + s * y for x, y in pairs]
+        # ambient-2 rows at the edges of the closed-form quadratic: a zero
+        # discriminant, a positive one with roots 2e-10 apart, negative ones,
+        # a lead just above and at the drop, an exact zero lead, a tiny scale
+        for row in ([1.0, -2.0, 1.0], [1e-10 - 1e-20, -2e-5, 1.0], [1.0, 0.0, 1.0],
+                    [1.0, 1e-3, 1.0], [-3.0, 1.0, 1e-11], [-3.0, 1.0, 1e-13],
+                    [-3.0, 1.0, 0.0], [2.0, 3.0, 1.0], [-1e-300, 0.0, 1e-300]):
+            yield 2, row
 
     def test_equal_to_polynomial_roots(self):
         by_n = {}
@@ -176,6 +185,24 @@ class TestMemberRoots:
                 kinds.add("uncertified" if want is None else
                           "drop" if want[-1] == PLUS_INFINITY else "full")
         assert kinds == {"uncertified", "drop", "full"}
+
+    def test_ambient_two_edges(self):
+        rows = [row for n, row in self._rows() if n == 2][-9:]
+        got = member_roots(rows, 2)
+        assert [None if r is None else len(r) - r.count(PLUS_INFINITY) for r in got] == [
+            None, None, None, None, 2, 1, 1, 2, None]
+        assert got[7] == (-2.0, -1.0)
+
+    def test_polish_stack_equals_scalar_polish(self):
+        # x^2 - 1 from 0.0 (derivative 0: frozen) and from 0.5; a cubic stack
+        for rows, x in (([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]], [[0.0, 0.5], [0.5, 0.0]]),
+                        ([[6.0, -11.0, 6.0, -1.0], [0.0, -1.0, 0.0, 1.0]],
+                         [[0.9, 2.2, 2.9], [-1.1, 1e-9, 0.0]])):
+            got = _newton_polish_rows(np.array(rows), np.array(x)).tolist()
+            want = [[_newton_polish(row, [k * c for k, c in enumerate(row)][1:], y) for y in xs]
+                    for row, xs in zip(rows, x)]
+            assert got == want
+        assert got[1][2] == 0.0
 
     def test_row_alone_equals_row_in_stack(self):
         rows = [row for n, row in self._rows() if n == 5 and _effective_degree(row) == 5]

@@ -343,6 +343,109 @@ class TestProjectionOncePerLevel:
         assert q_line(line, pencil_project(line)) == q_line(line)
 
 
+class TestLineGram:
+    @staticmethod
+    def _reference(l):
+        """B_l * tilde(B_pi) - B_pi * tilde(B_l), symmetrized entry by entry with Fractions."""
+        b_line, b_proj = line_charges(l)
+        u, w = b_line.weights, tilde(b_proj).weights
+        x, y = b_proj.weights, tilde(b_line).weights
+        n = len(u)
+        return tuple(tuple(F(1, 2) * (u[i] * w[j] + u[j] * w[i])
+                           - F(1, 2) * (x[i] * y[j] + x[j] * y[i]) for j in range(n))
+                     for i in range(n))
+
+    def test_equal_to_fraction_products(self):
+        rng = random.Random(12)
+        for n in range(2, 6):
+            for _ in range(4):
+                den = rng.randint(1, 8)
+                xs = sorted(F(x, den) for x in rng.sample(range(-40, 40), 2 * n))
+                for line in (Pencil.from_tuples(RT(*xs[0::2]), RT(*xs[1::2])),
+                             Pencil.from_tuples(RT(*map(float, xs[0::2])),
+                                                RT(*map(float, xs[1::2])))):
+                    got = q_line(line).gram
+                    want = self._reference(line)
+                    assert got == want and repr(got) == repr(want)
+
+
+class TestAlphaLadder:
+    @staticmethod
+    def _levels():
+        """(line, line form, embedded lower form, line data) of seeded lines n = 2..5."""
+        rng = random.Random(13)
+        for n in range(2, 6):
+            for _ in range(3):
+                xs = sorted(F(x, 4) for x in rng.sample(range(-40, 40), 2 * n))
+                line = Pencil.from_tuples(RT(*xs[0::2]), RT(*xs[1::2]))
+                proj = quadform.pencil_project(line)
+                lower = quadform._embedded(q_tilde(proj))
+                yield line, q_line(line, proj), lower, quadform._line_data(line, 50)
+
+    def test_rung_decisions_equal_candidate_checks(self):
+        verdicts = set()
+        for line, L, P, data in self._levels():
+            lp, pp = quadform._form_parts(L, data), quadform._form_parts(P, data)
+            alpha = F(1)
+            while alpha <= 4 * q_tilde(line).meta["alpha"]:
+                got = quadform._check_support(lp.combined(alpha, pp), data,
+                                              quadform.SUPPORT_MARGIN).ok
+                whole = quadform._form_parts(L.scaled(alpha).plus(P), data)
+                assert got == quadform._check_support(whole, data, quadform.SUPPORT_MARGIN).ok
+                verdicts.add(got)
+                alpha *= 2
+        assert verdicts == {False, True}
+
+    def test_cap_message_is_the_last_candidates_report(self, monkeypatch):
+        # this line needs alpha = 16; with the cap at 8 the message carries
+        # the full report of the alpha = 8 candidate, exact and float records
+        monkeypatch.setattr(quadform, "ALPHA_CAP", 8)
+        line = Pencil.from_tuples(RT(F(-21, 4), F(-33, 8), F(-27, 8)),
+                                  RT(F(-19, 4), F(-7, 2), F(-3)))
+        with pytest.raises(quadform.AlphaSearchFailed) as err:
+            q_tilde(line)
+        assert str(err.value) == (
+            "no alpha below 8; last failures: [('kernel', [[Fraction(184480292, 3740218965), "
+            "Fraction(62376464, 2315373645)], [Fraction(62376464, 2315373645), "
+            "Fraction(155069120, 18059914431)]]), "
+            "('pairing', 0.031415926535897934, 1, 3, -0.612693821309108), "
+            "('pairing', 0.09424777960769379, 1, 3, -0.6082673451475102)]")
+
+    @pytest.mark.parametrize("ratio, exact", [(F(9, 10), True), (F(11, 10), False)])
+    def test_pair_near_the_cut(self, ratio, exact):
+        """alpha L + P = delta e_0 e_0^T: each pairing's value is delta, after cancellation.
+
+        delta is set at ``ratio`` times the cut 1e-8 of the combined
+        absolute-term sum of the first pair of member 0: inside the cut the
+        pair is decided exactly (its record carries delta to the bit),
+        outside it keeps its float value.
+        """
+        line = Pencil.from_tuples(RT(F(0), F(2), F(4)), RT(F(1), F(3), F(5)))
+        data = quadform._line_data(line, 50)
+        L, alpha = q_line(line), F(4)
+        lp = quadform._form_parts(L, data)
+        bound = 2 * alpha * F(lp.abssum[0, 0, 1])
+        delta = ratio * F(1, 10 ** 8) * bound
+        eye0 = QuadraticForm(tuple(tuple(delta if i == j == 0 else F(0) for j in range(4))
+                                   for i in range(4)))
+        P = L.scaled(-alpha).plus(eye0)
+        pp = quadform._form_parts(P, data)
+        asked = []
+        exact_pair = lp.exact_pair
+        lp.exact_pair = lambda key, u, v: asked.append(key) or exact_pair(key, u, v)
+        combined = lp.combined(alpha, pp)
+        assert abs(float(delta)) / combined.abssum[0, 0, 1] == pytest.approx(float(ratio) * 1e-8)
+        rep = quadform._check_support(combined, data, quadform.SUPPORT_MARGIN)
+        whole = quadform._check_support(quadform._form_parts(eye0, data), data,
+                                        quadform.SUPPORT_MARGIN)
+        theta = data.members[0][0]
+        (record,) = [f for f in rep.failures if f[:4] == ("pairing", theta, 1, 2)]
+        assert ((0, 0, 1) in asked) == exact
+        assert (record[4] == float(delta)) == exact
+        assert record[4] == pytest.approx(float(delta), rel=1e-6)
+        assert rep.ok == whole.ok is False
+
+
 class TestExactPairing:
     SPECIAL = (1e-300, 1e300, 5e-324, 2.5e-310, -0.0, 0.1, -7.25)
 
