@@ -104,8 +104,7 @@ def bareiss_det(rows):
     Rows are scaled to integers first (tracking the scaling), so the
     elimination itself runs on ints with exact divisions.
     """
-    n = len(rows)
-    if n == 0:
+    if len(rows) == 0:
         return Fraction(1)
     scale = 1
     m = []
@@ -113,23 +112,37 @@ def bareiss_det(rows):
         ints, den = integer_scaled(row)
         scale *= den
         m.append(ints)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    for pivot, sign in _bareiss_pivots(m, swap=True):
+        pass
+    return Fraction(sign * pivot, scale)
+
+
+def _bareiss_pivots(m, swap):
+    """Fraction-free Bareiss elimination of the integer square matrix m, in place.
+
+    Yields (pivot, sign) for k = 0, 1, ...: pivot is the determinant of the
+    leading (k+1)-block of m with its rows swapped so far, sign the parity of
+    those swaps.  Without swap the pivots are the leading principal minors of
+    m.  With swap a zero pivot first trades places with the first later row
+    that has a nonzero entry in its column.  A zero pivot ends the elimination.
+    """
+    n = len(m)
+    sign = prev = 1
+    for k in range(n):
+        if swap and m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
-            else:
-                return Fraction(0)
+        pivot = m[k][k]
+        yield pivot, sign
+        if pivot == 0:
+            return
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], scale)
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
 
 
 def det(rows):
@@ -253,25 +266,18 @@ def is_negative_definite(gram):
     eigenvalue fallback with margin for float input.  The empty matrix is
     negative definite by convention.
 
-    The exact test is one fraction-free Bareiss pass without pivoting over
-    the rows scaled to integers: the k-th pivot is the k-th leading minor
-    times the (positive) row scales, so it has the minor's sign, and the
+    The exact test is one Bareiss pass without row swaps over the rows
+    scaled to integers (_bareiss_pivots): the k-th pivot is the k-th leading
+    minor times the (positive) row scales, so it has the minor's sign, and the
     pass stops at the first pivot of the wrong sign.
     """
-    n = len(gram)
-    if n == 0:
+    if len(gram) == 0:
         return True
     if all(all_exact(row) for row in gram):
         m = [integer_scaled(row)[0] for row in gram]
-        prev = 1
-        for k in range(n):
-            pivot = m[k][k]
+        for k, (pivot, _) in enumerate(_bareiss_pivots(m, swap=False)):
             if (pivot if k % 2 else -pivot) <= 0:
                 return False
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            prev = pivot
         return True
     w = np.linalg.eigvalsh(np.array(gram, dtype=float))
     scale = max(1.0, float(np.max(np.abs(w))))

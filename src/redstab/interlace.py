@@ -54,6 +54,7 @@ PLUS_INFINITY = math.inf
 ROOT_DISTINCT_TOL = 1e-9   # relative to root spread
 ROOT_IMAG_TOL = 1e-9       # relative to root magnitude scale
 LEAD_ZERO_TOL = 1e-12      # float lead <= this * largest |coeff| drops the degree
+NEWTON_STEPS = 3           # float Newton steps after the companion eigenvalues
 SEP_ANGLES = 720           # uniform pencil angles before refinement
 SEP_REFINE_TOL = 1e-10     # golden-section window width on the angle
 SHIFT_BUDGET = 60          # doublings of the stabilizing shift
@@ -206,8 +207,8 @@ def roots_to_poly(t: RootTuple, ambient=None) -> Polynomial:
     return Polynomial(coeffs + (0 * coeffs[-1],) * (n + 1 - len(coeffs)), n)
 
 
-def _newton_polish(coeffs_f, dcoeffs_f, x, steps=3):
-    for _ in range(steps):
+def _newton_polish(coeffs_f, dcoeffs_f, x):
+    for _ in range(NEWTON_STEPS):
         d = poly_eval(dcoeffs_f, x)
         if d == 0:
             break
@@ -351,27 +352,29 @@ def _effective_degree(row) -> int:
 def _polished_eigvals(rows) -> list:
     """Newton-polished real eigenvalues of a stack of full-degree float rows.
 
-    Per row, the real parts of its _companion_eigvals after three Newton
-    steps, or None when an imaginary part exceeds ROOT_IMAG_TOL relative to
-    max(1, largest |eigenvalue|).  A stack is polished in one array pass
-    (_newton_polish_rows), a single row by the scalar _newton_polish, which
-    numpy's per-call cost would otherwise slow fivefold; both take the same
-    steps in the same order, so a row gets the same answer alone as inside a
-    stack.
+    Per row, the real parts of its _companion_eigvals after NEWTON_STEPS
+    Newton steps, or None when an imaginary part exceeds ROOT_IMAG_TOL
+    relative to max(1, largest |eigenvalue|).  A stack is polished in one
+    array pass (_newton_polish_rows), a single row by the scalar
+    _newton_polish and only when it passes, as numpy's per-call cost would
+    otherwise slow it fivefold; both take the same steps in the same order, so
+    a row gets the same answer alone as inside a stack.
     """
     eig = _companion_eigvals(rows)
-    scale = np.fmax(1.0, np.max(np.abs(eig), axis=1))
-    real = ~(np.max(np.abs(eig.imag), axis=1) > ROOT_IMAG_TOL * scale)
+    mag = np.abs(eig).max(axis=1).tolist()
+    imag = np.abs(eig.imag).max(axis=1).tolist()
+    real = [not i > ROOT_IMAG_TOL * max(1.0, m) for i, m in zip(imag, mag)]
     if len(rows) == 1:
+        if not real[0]:
+            return [None]
         row = rows[0].tolist()
         drow = [k * c for k, c in enumerate(row)][1:]
-        polished = [[_newton_polish(row, drow, x) for x in eig.real[0].tolist()]]
-    else:
-        polished = _newton_polish_rows(rows, eig.real).tolist()
-    return [x if ok else None for x, ok in zip(polished, real.tolist())]
+        return [[_newton_polish(row, drow, x) for x in eig.real[0].tolist()]]
+    polished = _newton_polish_rows(rows, eig.real).tolist()
+    return [x if ok else None for x, ok in zip(polished, real)]
 
 
-def _newton_polish_rows(rows, x, steps=3):
+def _newton_polish_rows(rows, x):
     """_newton_polish of every root of a stack at once; x has shape (rows, degree).
 
     Horner runs in poly_eval's order.  A root whose derivative is 0 stays
@@ -380,7 +383,7 @@ def _newton_polish_rows(rows, x, steps=3):
     drows = rows[:, 1:] * np.arange(1, rows.shape[1])
     moving = np.ones(x.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(steps):
+        for _ in range(NEWTON_STEPS):
             d = _horner_rows(drows, x)
             moving &= d != 0
             x = np.where(moving, x - _horner_rows(rows, x) / d, x)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -39,6 +41,26 @@ class TestBareiss:
 
     def test_empty(self):
         assert bareiss_det([]) == 1
+
+    def test_row_swaps_equal_leibniz(self):
+        # zero pivots force row swaps; the exact Leibniz sum is the reference
+        def leibniz(m):
+            n = len(m)
+            total = F(0)
+            for perm in itertools.permutations(range(n)):
+                sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                total += sign * math.prod(m[i][perm[i]] for i in range(n))
+            return total
+        assert bareiss_det([[0, 1], [1, 0]]) == -1
+        assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert bareiss_det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == -10
+        assert bareiss_det([[1, 2, 3], [2, 4, 5], [3, 6, 9]]) == 0
+        rng = random.Random(3)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            m = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
+                  for _ in range(n)] for _ in range(n)]
+            assert bareiss_det(m) == leibniz(m)
 
 
 class TestSolveNullspaceInv:
