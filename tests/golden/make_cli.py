@@ -8,7 +8,9 @@ Each case is one argv; its stdout is stored in ``cli/<name>.<ext>``.  The
 cases are the JSON examples of the README (the reduced selftest report
 carries no timings), both figures (the surface figure and the point-class
 figure) as SVG, the exact weights of a four-entry tuple, a degree-3
-restriction whose roots go through the exact Newton polish, and the
+restriction with irrational roots, an interlacing check of an exact quartic
+and its derivative (irrational roots at degrees 4 and 3), the sampled
+separation of a float cubic pencil, and the
 discriminant-family check twice: the default pencil-family scan on a
 coherent kernel vector and a fixed-beta scan on a mixed one.  The support
 check is pinned twice on one line: its own ``q_tilde`` form passes, and the
@@ -27,6 +29,11 @@ CASES = {
     "walls_hilb.json": ["walls", "hilb", "--m", "1"],
     "charge_eval.json": ["charge", "eval", "--roots", '["0","2"]', "--v", '["0","0","1"]'],
     "interlace_check.json": ["interlace", "check", "--f", "[0,-1,1]", "--g", "[12,-7,1]"],
+    "interlace_check_quartic.json": ["interlace", "check", "--f", "[1,0,-10,0,1]",
+                                     "--g", "[0,-20,0,4,0]"],
+    "interlace_sep_pencil_float.json": ["interlace", "sep-pencil",
+                                        "--f", "[0.25,-1.5,0.5,1.0]",
+                                        "--g", "[-1.5,1.0,3.0,0.0]"],
     "quadform_build.json": ["quadform", "build", "--s", '["0","2","4"]',
                             "--t", '["1","3","5"]'],
     "geom_threefold.json": ["geom", "threefold", "--alpha", "1", "--beta", "0",
