@@ -20,7 +20,7 @@ tolerances.
 
 ``integer_scaled`` writes a group of numbers as integers over one common
 denominator.  Exact sums of products (Bareiss and rref rows, exact pairings,
-kernel restrictions, the exact Newton polish, the kernels of redstab.poly)
+kernel restrictions, exact root certification, the kernels of redstab.poly)
 run on those integers and form one Fraction at the end, instead of
 normalizing a Fraction at every step.
 """

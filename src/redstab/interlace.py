@@ -11,15 +11,22 @@ Entries and coefficients are coerced to one representation on construction
 (all Fraction, or float; see exact.coerce), so arithmetic on coefficients
 stays exact whenever the inputs are exact.  Coefficient arithmetic, the root
 polynomial of roots_to_poly included, is redstab.poly's; its helpers are
-also importable from here.  Root extraction (with Newton
-polishing) and pencil separation are the only float-producing steps.  They
-share one solver, _companion_eigvals, which takes a stack of coefficient
-rows: Polynomial.roots passes one row, member_roots the full-degree members
-of a pencil sample, sep_pencil its angle samples.  A stack is Newton-polished
-in one array pass, and member_roots solves full-degree quadratics by the
-closed form on arrays, in the scalar routes' operation order.  They also
-share one degree-drop rule, _effective_degree: leading coefficients at most
-LEAD_ZERO_TOL times the largest one drop one after another.
+also importable from here.  Root extraction and pencil separation are the
+only float-producing steps.  They share one solver, _companion_eigvals,
+which takes a stack of coefficient rows: Polynomial.roots passes one row,
+member_roots the full-degree members of a pencil sample, sep_pencil its
+angle samples.  A stack is Newton-polished in one array pass, and
+member_roots solves full-degree quadratics by the closed form on arrays, in
+the scalar routes' operation order.  They also share one degree-drop rule,
+_effective_degree: leading coefficients at most LEAD_ZERO_TOL times the
+largest one drop one after another.
+
+On float input the verdict (real, distinct) rests on ROOT_IMAG_TOL and
+ROOT_DISTINCT_TOL.  On exact input of degree 3 and above it rests on signs
+alone: each float estimate is certified as a root correctly rounded by a
+sign change of f between its two half-ulp midpoints, evaluated by integer
+Horner (_rounded_roots); where that fails, a gcd and Sturm count decide and
+Sturm bisection isolates the roots (_isolated_roots).
 """
 
 import math
@@ -47,6 +54,10 @@ from .poly import (
     poly_mul,
     poly_scale,
     poly_shift_arg,
+    scaled_value,
+    sign_variations,
+    sturm_chain,
+    sturm_count_real,
 )
 
 PLUS_INFINITY = math.inf
@@ -216,36 +227,6 @@ def _newton_polish(coeffs_f, dcoeffs_f, x):
     return x
 
 
-def _newton_polish_exact(coeffs, xs, steps=2):
-    """Newton steps with exact rational evaluation (no cancellation).
-
-    Floating evaluation of an expanded polynomial limits clustered roots to
-    roughly eval_error / |f'|; two exact steps from the eigenvalue estimates
-    xs recover full double accuracy.  The rational coefficients are scaled to
-    integers once; at x = p/q a step evaluates F = q^d f(p/q) and
-    D = q^(d-1) f'(p/q) by integer Horner and forms x - f(x)/f'(x) as the
-    single fraction (p D - F) / (q D).  Denominators are capped between steps.
-    """
-    ints, _ = integer_scaled(coeffs)
-    deg = len(ints) - 1
-    out = []
-    for x in xs:
-        xf = Fraction(x)
-        for _ in range(steps):
-            p, q = xf.numerator, xf.denominator
-            big_f, big_d, qk = ints[deg], deg * ints[deg], 1
-            for k in range(deg - 1, -1, -1):
-                qk *= q
-                big_f = big_f * p + ints[k] * qk
-                if k:
-                    big_d = big_d * p + k * ints[k] * qk
-            if big_d == 0:
-                break
-            xf = Fraction(p * big_d - big_f, q * big_d).limit_denominator(1 << 80)
-        out.append(float(xf))
-    return out
-
-
 def _extract_roots(f: Polynomial) -> RootTuple:
     deg = f.degree
     if not all_exact(f.coeffs):
@@ -284,11 +265,88 @@ def _extract_roots(f: Polynomial) -> RootTuple:
         r2 = (-float(c1) + sq) / (2 * float(c2))
         return _pad_inf(_distinct_sorted([r1, r2]), f.ambient)
     (roots,) = _polished_eigvals(np.array([[float(c) for c in coeffs]]))
+    if all_exact(coeffs):
+        return _pad_inf(_rounded_roots(integer_scaled(coeffs)[0], roots), f.ambient)
     if roots is None:
         raise ComplexRoots(f"imaginary part above {ROOT_IMAG_TOL} relative")
-    if all_exact(coeffs):
-        roots = _newton_polish_exact(coeffs, roots)
     return _pad_inf(_distinct_sorted(roots), f.ambient)
+
+
+def _rounded_roots(ints, estimates) -> tuple:
+    """The correctly rounded roots of f (integer coefficients ints), certified real and distinct.
+
+    d strictly increasing floats that pass _rounded_root's sign test have
+    disjoint brackets, each holding an odd number of roots, so f has d simple
+    real roots and each float is one of them correctly rounded.  Anything
+    less (no estimates, a miss, two floats on one root) goes to the exact
+    _isolated_roots.
+    """
+    dints = poly_derivative(ints)
+    out = [_rounded_root(ints, dints, x) for x in sorted(estimates or ())]
+    if len(out) == len(ints) - 1 and None not in out and out == sorted(set(out)):
+        return tuple(out)
+    return _isolated_roots(ints)
+
+
+def _rounded_root(ints, dints, x):
+    """The estimate x once f changes sign between the midpoints of x and its float
+    neighbours, so that x is a root correctly rounded; None if NEWTON_STEPS exact
+    Newton steps do not get there.
+
+    At x = p/q a step is (p D - F) / (q D) with F = q^d f(x), D = q^(d-1) f'(x),
+    and int / int true division rounds it correctly.
+    """
+    for _ in range(NEWTON_STEPS + 1):
+        if not math.isfinite(x):
+            return None
+        lo, hi = (scaled_value(ints, *_midpoint(x, side)) for side in (-math.inf, math.inf))
+        if lo * hi < 0:
+            return x + 0.0      # -0.0 becomes 0.0
+        p, q = x.as_integer_ratio()
+        big_d = scaled_value(dints, p, q)
+        if big_d == 0:
+            return None
+        try:
+            x = (p * big_d - scaled_value(ints, p, q)) / (q * big_d)
+        except OverflowError:
+            return None
+    return None
+
+
+def _midpoint(x, side) -> tuple:
+    """(p, q) with p / q the midpoint of the float x and its neighbour toward side."""
+    (a, qa), (b, qb) = x.as_integer_ratio(), math.nextafter(x, side).as_integer_ratio()
+    q = max(qa, qb)     # both are powers of two
+    return a * (q // qa) + b * (q // qb), 2 * q
+
+
+def _isolated_roots(ints) -> tuple:
+    """The exact verdict on f, and its roots isolated by Sturm bisection and rounded.
+
+    NotDistinctRoots when gcd(f, f') is not constant or two distinct roots
+    round to one float, ComplexRoots when the Sturm count is below the degree.
+    """
+    chain = sturm_chain(ints)
+    if len(chain[-1]) > 1:
+        raise NotDistinctRoots("repeated root: gcd(f, f') is not constant")
+    # Cauchy: every root lies in (-bound, bound].  (a, b, e, va, vb) is the
+    # interval (a / 2^e, b / 2^e] with the chain's sign variations at its ends
+    bound = 1 << (max(map(abs, ints[:-1])) // abs(ints[-1]) + 2).bit_length()
+    va, vb = sign_variations(chain, -bound), sign_variations(chain, bound)
+    if va - vb < len(ints) - 1:
+        raise ComplexRoots("fewer distinct real roots than the degree (Sturm count)")
+    out, todo = [], [(-bound, bound, 0, va, vb)]
+    while todo:     # depth first, left half first: the roots come out increasing
+        a, b, e, va, vb = todo.pop()
+        if va - vb == 1 and (not scaled_value(ints, b, 1 << e)
+                             or b - a < 1 << e and a / (1 << e) == b / (1 << e)):
+            out.append(b / (1 << e))
+        elif va > vb:
+            vm = sign_variations(chain, a + b, 2 << e)
+            todo += [(a + b, 2 * b, e + 1, vm, vb), (2 * a, a + b, e + 1, va, vm)]
+    if len(set(out)) < len(out):
+        raise NotDistinctRoots("distinct roots round to one float")
+    return tuple(out)
 
 
 def member_roots(rows, ambient) -> list:
@@ -453,6 +511,12 @@ def is_interlaced(f: Polynomial, g: Polynomial) -> bool:
     Equivalent to every combination a*f + b*g having all real, pairwise
     distinct roots.  Inputs failing root certification are reported
     as not interlaced.  Raises DegenerateInput on proportional inputs.
+
+    On exact members the verdict is exact: rounding is monotone, so
+    correctly rounded roots that strictly alternate, with no float shared by
+    f and g, come from exact roots that do.  When a float is shared, the
+    exact roots interlace iff the Wronskian f'g - fg' has no real zero and
+    not both members drop degree.
     """
     if f.ambient != g.ambient:
         raise ValueError("ambient mismatch")
@@ -462,6 +526,10 @@ def is_interlaced(f: Polynomial, g: Polynomial) -> bool:
         rf, rg = f.roots(), g.roots()
     except (ComplexRoots, NotDistinctRoots):
         return False
+    if set(rf.finite) & set(rg.finite) and all_exact(f.coeffs + g.coeffs):
+        df, dg = poly_derivative(f.coeffs), poly_derivative(g.coeffs)
+        wronskian = poly_add(poly_mul(df, g.coeffs), poly_scale(poly_mul(f.coeffs, dg), -1))
+        return not (rf.has_infinity and rg.has_infinity) and sturm_count_real(wronskian) == 0
     return rf.interlaces(rg)
 
 

@@ -169,14 +169,16 @@ def figure_hilb(m: int, viewport=None, samples: int = 257, fmt: str = "svg") -> 
     """Point-class wall stage: boundary curve plus the two emptiness walls.
 
     The red line freezes t1 = -M, the green line t3 = -N, with (N, M) the
-    integer emptiness bounds of the point class.
+    integer emptiness bounds of the point class.  With c = (6m)^(1/3), the
+    curves start near the boundary's lowest point (3c, 3c^2), so the default
+    viewport spans 20c in p and 6c^2 in q, at least 100 each.
     """
     n_bound, m_bound = hilb_bounds(m)
-    if viewport is None:
-        side = max(100.0, 20.0 * (6.0 * m) ** (1.0 / 3.0))
-        viewport = (0.0, side, 0.0, side)
-    x0, x1, y0, y1 = viewport
     cube = (6.0 * m) ** (1.0 / 3.0)
+    if viewport is None:
+        side = max(100.0, 20.0 * cube)
+        viewport = (0.0, side, 0.0, max(side, 6.0 * cube * cube))
+    x0, x1, y0, y1 = viewport
     boundary = hilb_boundary(m, t_range=(0.25 * cube, max(4.0 * cube, math.sqrt(x1))),
                              samples=samples)
     red = hilb_wall_line(m, float(m_bound), samples=samples,

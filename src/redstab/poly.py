@@ -9,13 +9,15 @@ The hot kernels ``poly_from_roots``, ``poly_shift_arg`` and
 coefficient at the end; on float input they keep the float operation order
 of the plain product and Horner loops.
 
-The Sturm count, the Sylvester resultant and Lagrange interpolation are
-exact routines for the brute-force oracles.
+The integer Horner value ``scaled_value``, the Sturm chain and its sign
+variations serve exact root certification (interlace) and the Sturm count of
+the brute-force oracles.
 """
 
 from fractions import Fraction
+from math import gcd, inf
 
-from .exact import all_exact, bareiss_det, integer_scaled, is_exact
+from .exact import all_exact, integer_scaled, is_exact
 
 
 def poly_eval(coeffs, x):
@@ -120,7 +122,7 @@ def poly_shift_arg(coeffs, m):
 
 
 # ---------------------------------------------------------------------------
-# exact routines of the oracles
+# integer sign evaluation and Sturm sequences
 
 
 def trim(p):
@@ -130,84 +132,60 @@ def trim(p):
     return p
 
 
-def neg_rem(a, b):
-    """-(a mod b) over Fractions, for Sturm sequences."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    db = len(b) - 1
-    while len(a) - 1 >= db and any(x != 0 for x in a):
-        da = len(a) - 1
-        f = a[-1] / b[-1]
-        shift = da - db
-        for i, x in enumerate(b):
-            a[i + shift] -= f * x
-        a = trim(a)
-        if len(a) - 1 < db:
+def scaled_value(ints, p, q) -> int:
+    """q^d f(p/q) by integer Horner, for f with integer coefficients ints (degree d).
+
+    For q > 0 its sign is the sign of f(p/q).
+    """
+    acc, qk = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
+
+
+def sturm_chain(p) -> list:
+    """Sturm sequence p, p', -rem, ... of a nonconstant rational polynomial, on integers.
+
+    Each remainder is a pseudo-remainder divided by its content, a positive
+    factor that keeps every sign.  The last member is gcd(p, p') up to a
+    constant, so p has a repeated root exactly when it is not constant.
+    """
+    chain = [integer_scaled(trim(list(p)))[0]]
+    chain.append(list(poly_derivative(chain[0])))
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        lead, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+        while len(a) >= len(b) and any(a):
+            # |lead| a - sign(lead) a_top x^shift b cancels a's top term
+            top, shift = sign * a[-1], len(a) - len(b)
+            a = [lead * x for x in a]
+            for i, y in enumerate(b):
+                a[i + shift] -= top * y
+            a = trim(a[:-1])
+        if not any(a):
             break
-    return trim([-x for x in a])
+        content = gcd(*a)
+        chain.append([-x // content for x in a])
+    return chain
+
+
+def sign_variations(chain, p, q=1) -> int:
+    """Sign changes along a Sturm chain at p / q (q > 0), or at p = +-inf.
+
+    For a squarefree polynomial, V(a) - V(b) counts its roots in (a, b].
+    """
+    if p in (inf, -inf):
+        values = [c[-1] if p > 0 or len(c) % 2 else -c[-1] for c in chain]
+    else:
+        values = [scaled_value(c, p, q) for c in chain]
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def sturm_count_real(p) -> int:
     """Number of distinct real roots of a rational polynomial (Sturm)."""
-    p = trim([Fraction(x) for x in p])
-    if len(p) == 1:
+    if len(trim(list(p))) == 1:
         return 0
-    chain = [p, list(poly_derivative(p))]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        nxt = neg_rem(chain[-2], chain[-1])
-        if all(x == 0 for x in nxt):
-            break
-        chain.append(nxt)
-        if len(nxt) == 1:
-            break
-    def sign_at_inf(q, plus):
-        lead = q[-1]
-        if lead == 0:
-            return 0
-        if plus or (len(q) - 1) % 2 == 0:
-            return 1 if lead > 0 else -1
-        return -1 if lead > 0 else 1
-    def changes(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    at_minus = changes([sign_at_inf(q, plus=False) for q in chain])
-    at_plus = changes([sign_at_inf(q, plus=True) for q in chain])
-    return at_minus - at_plus
-
-
-def sylvester_resultant(p, q):
-    """Resultant of two rational polynomials via the Sylvester determinant."""
-    p = trim([Fraction(x) for x in p])
-    q = trim([Fraction(x) for x in q])
-    dp, dq = len(p) - 1, len(q) - 1
-    if dp == 0:
-        return p[0] ** dq
-    if dq == 0:
-        return q[0] ** dp
-    size = dp + dq
-    rows = []
-    desc_p = list(reversed(p))
-    desc_q = list(reversed(q))
-    for i in range(dq):
-        rows.append([Fraction(0)] * i + desc_p + [Fraction(0)] * (size - i - dp - 1))
-    for i in range(dp):
-        rows.append([Fraction(0)] * i + desc_q + [Fraction(0)] * (size - i - dq - 1))
-    return bareiss_det(rows)
-
-
-def lagrange_coeffs(xs, ys):
-    """Exact interpolation through (xs, ys); ascending coefficients."""
-    n = len(xs)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        basis = (Fraction(1),)
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            basis = poly_mul(basis, (-Fraction(xs[j]), Fraction(1)))
-            denom *= Fraction(xs[i]) - Fraction(xs[j])
-        scale = Fraction(ys[i]) / denom
-        for k, c in enumerate(basis):
-            out[k] += scale * c
-    return trim(out)
+    chain = sturm_chain(p)
+    return sign_variations(chain, -inf) - sign_variations(chain, inf)

@@ -425,8 +425,14 @@ def _form_parts(Q: QuadraticForm, data: _LineData) -> _FormParts:
                       exact_pair)
 
 
-def _check_support(parts: _FormParts, data: _LineData, margin, vanish_tol=1e-8, grid=100):
-    """The support check of verify_support on one form's parts."""
+def _check_support(parts: _FormParts, data: _LineData, margin, vanish_tol=1e-8, grid=100,
+                   first=False):
+    """The support check of verify_support on one form's parts.
+
+    first=True asks for the verdict alone, as a rung of the alpha ladder
+    does: the pairings are skipped after a failing part, their scan stops at
+    its first failure, and pairing_ok then reads False.
+    """
     n = data.ambient
     if parts.coeffs is not None:
         max_resid, failures = 0.0, _exact_vanishing_failures(parts.coeffs, n, grid)
@@ -437,8 +443,12 @@ def _check_support(parts: _FormParts, data: _LineData, margin, vanish_tol=1e-8, 
     ok_b = is_negative_definite(parts.restricted)
     if not ok_b:
         failures.append(("kernel", parts.restricted))
+    if first and failures:
+        return SupportReport(ok_a, ok_b, False, max_resid, failures)
 
-    bad = _member_pairing_failures(parts, data, margin)
+    bad = _member_pairing_failures(parts, data, margin, first)
+    if first and bad:
+        return SupportReport(ok_a, ok_b, False, max_resid, failures + bad)
     # degree-drop member (r_1, ..., r_(n-1), +inf): only the pairs against
     # gamma(+inf) are strict at this level (the finite pairs are the projected
     # line's conditions, verified one ambient lower)
@@ -524,14 +534,18 @@ def _member_pairings(Q, stack):
     return total, abssum
 
 
-def _member_pairing_failures(parts, data, margin):
+def _member_pairing_failures(parts, data, margin, first=False):
     """Records where (-1)^(i+j) P(gamma_i, gamma_j) fails > 0 on a sampled member.
 
     A value within max(margin, 1e-9) of its absolute-term sum, or not
     finite, is decided exactly, so wildly different magnitudes across the
     matrix cannot mask a sign.  Members whose roots failed certification
     report ("pairing-roots", theta) in their place in the sampling order.
+    With first=True the scan returns one failure record as soon as it finds
+    one.
     """
+    if first and (lost := [("pairing-roots", th) for th, gam in data.members if gam is None]):
+        return lost[:1]
     total = parts.total
     m = total.shape[1]
     sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
@@ -539,14 +553,16 @@ def _member_pairing_failures(parts, data, margin):
         flagged = ~(np.abs(total) > max(margin, 1e-9) * parts.abssum)
         wrong = ~(sign * total > 0)
     suspect = (flagged | wrong) & np.triu(np.ones((m, m), dtype=bool), 1)
-    rooted = [gam for _, gam in data.members if gam is not None]
+    rooted = [(theta, gam) for theta, gam in data.members if gam is not None]
     found = {}
     for (k, a, b), exact, val in zip(np.argwhere(suspect).tolist(), flagged[suspect].tolist(),
                                      total[suspect].tolist()):
         if exact:
-            val = parts.exact_pair((k, a, b), rooted[k][a], rooted[k][b])
+            val = parts.exact_pair((k, a, b), rooted[k][1][a], rooted[k][1][b])
             if (val if (a + b) % 2 == 0 else -val) > 0:
                 continue
+        if first:
+            return [("pairing", rooted[k][0], a + 1, b + 1, float(val))]
         found.setdefault(k, []).append((a + 1, b + 1, float(val)))
     failures = []
     k = 0
@@ -600,7 +616,7 @@ def q_tilde(l: Pencil, samples: int = 50) -> QuadraticForm:
 
     alpha = Fraction(1)
     while alpha <= ALPHA_CAP:
-        if _check_support(rung(alpha), data, SUPPORT_MARGIN).ok:
+        if _check_support(rung(alpha), data, SUPPORT_MARGIN, first=True).ok:
             meta = {"construction": "inductive", "alpha": alpha, "ambient": n}
             return QuadraticForm(candidate(alpha).gram, meta)
         alpha *= 2

@@ -6,13 +6,14 @@ Run from the repository root:
 
 Each case is one argv; its stdout is stored in ``cli/<name>.<ext>``.  The
 cases are the JSON examples of the README (the reduced selftest report
-carries no timings), both figures (the surface figure and the point-class
-figure) as SVG, the exact weights of a four-entry tuple, a degree-3
-restriction with irrational roots, an interlacing check of an exact quartic
-and its derivative (irrational roots at degrees 4 and 3), the sampled
-separation of a float cubic pencil, and the
-discriminant-family check twice: the default pencil-family scan on a
-coherent kernel vector and a fixed-beta scan on a mixed one.  The support
+carries no timings), both figures as SVG (the surface figure, and the
+point-class figure at m = 2 and at m = 50, whose curves need a viewport taller
+than wide), the exact weights of a four-entry tuple, a degree-3 restriction
+with irrational roots, an interlacing check of an exact quartic and its
+derivative (irrational roots at degrees 4 and 3), the sampled separation of
+a float cubic pencil, and the discriminant-family check twice: the default
+pencil-family scan on a coherent kernel vector and a fixed-beta scan on a
+mixed one.  The support
 check is pinned twice on one line: its own ``q_tilde`` form passes, and the
 negated form fails with a ``kernel`` record and float ``pairing`` records.
 ``tests/test_golden.py`` runs every case in-process and compares the output
@@ -42,6 +43,7 @@ CASES = {
     "selftest.json": ["selftest", "--seed", "0"],
     "walls_plot_figure1.svg": ["walls", "plot", "--figure", "1"],
     "walls_plot_figure4.svg": ["walls", "plot", "--figure", "4", "--m", "2"],
+    "walls_plot_figure4_m50.svg": ["walls", "plot", "--figure", "4", "--m", "50"],
     "charge_weights.json": ["charge", "weights", "--roots", '["-2","1/3","5/2","4"]'],
     "restrict_xi_degree3.json": ["restrict", "xi", "--roots", '["0","2","4","7"]',
                                  "--m", "1"],

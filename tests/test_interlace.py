@@ -21,8 +21,8 @@ from redstab.interlace import (
     RootTuple,
     _companion_eigvals,
     _effective_degree,
+    _isolated_roots,
     _newton_polish,
-    _newton_polish_exact,
     _newton_polish_rows,
     _polished_eigvals,
     _sep_batch,
@@ -45,7 +45,8 @@ from redstab.interlace import (
     shift_pencil,
     stabilizing_shift,
 )
-from redstab.oracles import newton_polish_fraction
+from redstab.exact import integer_scaled
+from redstab.poly import poly_eval, sturm_count_real
 
 
 def RT(*xs):
@@ -116,9 +117,26 @@ class TestRootsPoly:
             assert abs(float(a) - float(b)) < 1e-10 * max(1.0, abs(float(b)))
 
 
-class TestExactPolish:
+def _correctly_rounded(coeffs, xs) -> bool:
+    """Fraction check that xs are all the real roots of f, each correctly rounded.
+
+    f changes sign between the midpoints of each x and its float neighbours
+    (so a root rounds to x), the xs strictly increase, and the Sturm count
+    says f has no other distinct real root.
+    """
+    for x in xs:
+        lo, hi = ((F(x) + F(math.nextafter(x, side))) / 2 for side in (-math.inf, math.inf))
+        if not poly_eval(coeffs, lo) * poly_eval(coeffs, hi) < 0:
+            return False
+    return list(xs) == sorted(set(xs)) and sturm_count_real(coeffs) == len(xs)
+
+
+class TestExactRounding:
+    """Exact input at degree >= 3: verdicts from signs, roots correctly rounded."""
+
     @staticmethod
     def _cases():
+        """(coeffs, want): want is the rounded rational roots, or None where irrational."""
         rng = random.Random(4)
         for n in range(3, 7):
             for _ in range(8):
@@ -128,20 +146,84 @@ class TestExactPolish:
                 roots = set()
                 while len(roots) < n:
                     roots.add(base + width * F(rng.randint(0, 1000), 1000))
-                yield roots_to_poly(RT(*sorted(roots))).coeffs
+                roots = sorted(roots)
+                yield roots_to_poly(RT(*roots)).coeffs, tuple(float(r) for r in roots)
                 # the difference polynomial of xi on a length-(n+1) tuple
                 t = set()
                 while len(t) < n + 1:
                     t.add(F(rng.randint(-60, 60), rng.randint(1, 4)))
                 f = roots_to_poly(RT(*sorted(t))).coeffs
                 m = F(rng.randint(1, 8), rng.randint(1, 8))
-                yield poly_add(f, poly_scale(poly_shift_arg(f, -m), -1))[: n + 1]
+                yield poly_add(f, poly_scale(poly_shift_arg(f, -m), -1))[: n + 1], None
 
-    def test_integer_route_equals_fraction_route(self):
-        for coeffs in self._cases():
-            xs = sorted(np.roots([float(c) for c in reversed(coeffs)]).real)
-            assert _newton_polish_exact(coeffs, xs) == [
-                newton_polish_fraction(coeffs, x) for x in xs]
+    def test_roots_equal_rounded_truth(self):
+        for coeffs, want in self._cases():
+            got = Polynomial(coeffs, len(coeffs) - 1).roots().entries
+            if want is None:
+                # irrational roots: the exact bisection route, checked on Fractions
+                want = _isolated_roots(integer_scaled(coeffs)[0])
+                assert _correctly_rounded(coeffs, want)
+            assert got == want
+
+    def test_near_double_root_is_not_a_member(self):
+        # (x^2 - 2x + 1 + 1e-14)(x - 2)(x - 3): two distinct real roots by Sturm
+        f = Polynomial(poly_mul(poly_mul((1 + F(1, 10 ** 14), -2, 1), (-2, 1)), (-3, 1)), 4)
+        with pytest.raises(ComplexRoots):
+            f.roots()
+        assert not f.is_member()
+        with pytest.raises(DegenerateInput):
+            Pencil(f, f.derivative())
+
+    def test_close_rational_roots(self):
+        t = (F(4), 4 + F(1, 10 ** 6), F(5), F(8))
+        assert roots_to_poly(RT(*t)).roots().entries == tuple(float(x) for x in t)
+
+    def test_repeated_root_and_roots_rounding_together(self):
+        with pytest.raises(NotDistinctRoots, match="repeated root"):
+            Polynomial(poly_mul((1, -2, 1), (6, -5, 1)), 4).roots()
+        with pytest.raises(NotDistinctRoots, match="round to one float"):
+            roots_to_poly(RT(F(0), F(1), 1 + F(1, 2 ** 60), F(3))).roots()
+
+    def test_clustered_corpus(self):
+        """360 polynomials, n = 3..8, distinct rational roots in windows 1e-2 .. 1e-7."""
+        rng = random.Random(7)
+        for n in range(3, 9):
+            for _ in range(60):
+                base = F(rng.randint(-40, 40), rng.randint(1, 9))
+                width = F(1, 10 ** rng.randint(2, 7))
+                roots = set()
+                while len(roots) < n:
+                    roots.add(base + width * F(rng.randint(0, 1000), 1000))
+                roots = sorted(roots)
+                got = roots_to_poly(RT(*roots)).roots().entries
+                assert got == tuple(float(r) for r in roots)
+
+    def test_quartic_corpus(self):
+        """440 quartics: two rational roots and a pair a, a + 10^-k or a +- 10^-k i, k = 5..15."""
+        rng = random.Random(8)
+        for k in range(5, 16):
+            e = F(1, 10 ** k)
+            for _ in range(20):
+                a = F(rng.randint(-50, 50), rng.randint(1, 7))
+                r1, r2 = rng.sample([F(x, 3) for x in range(-90, 90) if F(x, 3) not in (a, a + e)], 2)
+                outer = poly_mul((-r1, 1), (-r2, 1))
+                real = Polynomial(poly_mul(outer, poly_mul((-a, 1), (-a - e, 1))), 4)
+                if float(a) == float(a + e):
+                    with pytest.raises(NotDistinctRoots, match="round to one float"):
+                        real.roots()
+                else:
+                    want = tuple(sorted(float(x) for x in (r1, r2, a, a + e)))
+                    assert real.roots().entries == want
+                with pytest.raises(ComplexRoots):
+                    Polynomial(poly_mul(outer, (a * a + e * e, -2 * a, 1)), 4).roots()
+
+    def test_tied_rounded_roots_decided_exactly(self):
+        # g's first root rounds to f's 1.0 from below, at it, and from above
+        f = roots_to_poly(RT(F(0), F(1), F(3)))
+        eps = F(1, 2 ** 60)
+        verdicts = [is_interlaced(f, roots_to_poly(RT(r, F(2), F(4))))
+                    for r in (1 - eps, F(1), 1 + eps)]
+        assert verdicts == [True, False, False]
 
 
 class TestMemberRoots:

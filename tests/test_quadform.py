@@ -396,6 +396,29 @@ class TestAlphaLadder:
                 alpha *= 2
         assert verdicts == {False, True}
 
+    def test_first_failure_mode_keeps_the_verdict(self):
+        kinds = set()
+        for line, L, P, data in self._levels():
+            lp, pp = quadform._form_parts(L, data), quadform._form_parts(P, data)
+            alpha = F(1)
+            while alpha <= 4 * q_tilde(line).meta["alpha"]:
+                parts = lp.combined(alpha, pp)
+                full = quadform._check_support(parts, data, quadform.SUPPORT_MARGIN)
+                fast = quadform._check_support(parts, data, quadform.SUPPORT_MARGIN, first=True)
+                assert fast.ok == full.ok
+                assert len(fast.failures) == (0 if full.ok else 1)
+                assert all(f in full.failures for f in fast.failures)
+                kinds.update(f[0] for f in fast.failures)
+                alpha *= 2
+        assert kinds == {"kernel"}    # on rungs a pairing failure comes with a kernel one
+        # the pairing scan alone: the negated support form fails every pairing
+        line = Pencil.from_tuples(RT(F(0), F(2), F(4)), RT(F(1), F(3), F(5)))
+        data = quadform._line_data(line, 50)
+        parts = quadform._form_parts(q_tilde(line).scaled(-1), data)
+        full = quadform._member_pairing_failures(parts, data, quadform.SUPPORT_MARGIN)
+        fast = quadform._member_pairing_failures(parts, data, quadform.SUPPORT_MARGIN, first=True)
+        assert len(full) > 1 and fast == full[:1] and fast[0][0] == "pairing"
+
     def test_cap_message_is_the_last_candidates_report(self, monkeypatch):
         # this line needs alpha = 16; with the cap at 8 the message carries
         # the full report of the alpha = 8 candidate, exact and float records

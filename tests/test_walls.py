@@ -173,6 +173,14 @@ class TestPlots:
         assert "#d62728" in svg and "#2ca02c" in svg
         assert figure_hilb(2) == svg
 
+    def test_figure_hilb_draws_every_locus(self):
+        # the curves sit near (3c, 3c^2), c = (6m)^(1/3): the viewport must
+        # follow q like c^2, not c, or the loci leave it from m = 46 on
+        for m in [*range(1, 80), 99, 500, 4321, 10 ** 4, 77777, 10 ** 5, 654321, 10 ** 6]:
+            groups = figure_hilb(m).split("<g><title>")[1:]
+            assert len(groups) == 3
+            assert all("<polyline" in g for g in groups), m
+
     def test_emit_plot_formats(self):
         loc = sb_v_surface((1, 0, -1), samples=10)
         assert emit_plot([loc], fmt="csv").startswith("#")
