@@ -10,11 +10,11 @@ class RedstabError(Exception):
 
 
 class NotDistinctRoots(RedstabError):
-    """Two roots are closer than the distinctness tolerance."""
+    """A repeated root, or two roots within tolerance (float) or rounding to one float (exact)."""
 
 
 class ComplexRoots(RedstabError):
-    """A root has imaginary part above tolerance."""
+    """A non-real root: an imaginary part above tolerance (float), a short Sturm count (exact)."""
 
 
 class DegenerateInput(RedstabError):

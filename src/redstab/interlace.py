@@ -31,7 +31,6 @@ Sturm bisection isolates the roots (_isolated_roots).
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -512,9 +511,10 @@ def is_interlaced(f: Polynomial, g: Polynomial) -> bool:
     distinct roots.  Inputs failing root certification are reported
     as not interlaced.  Raises DegenerateInput on proportional inputs.
 
-    On exact members the verdict is exact: rounding is monotone, so
-    correctly rounded roots that strictly alternate, with no float shared by
-    f and g, come from exact roots that do.  When a float is shared, the
+    When both members are exact with correctly rounded roots (rational
+    roots, or degree 3 and above) the verdict is exact: rounding is
+    monotone, so rounded roots that strictly alternate, with no float shared
+    by f and g, come from exact roots that do.  When a float is shared, the
     exact roots interlace iff the Wronskian f'g - fg' has no real zero and
     not both members drop degree.
     """

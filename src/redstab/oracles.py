@@ -2,15 +2,14 @@
 
 These deliberately avoid the production code paths they are used to check:
 the pencil oracle works on raw coefficient sequences with numpy eigenvalues,
-exact Sylvester resultants and Lagrange interpolation (defined here), and
-Sturm real-root counts (redstab.poly; the Sturm chain is also the exact
-fallback of production root extraction, so the tests check exact roots
-against Fraction evaluation instead); the cofactor
-charge expands the defining Vandermonde determinant minor by minor; the
-kernel-sign scan only evaluates charges on a corner family with sign-change
-bisection; the pointwise support check evaluates Q(gamma(t)) at every grid
-point and pairs member by member with the scalar loop, extracting roots on
-every call.
+exact Sylvester resultants, and Sturm real-root counts (redstab.poly; the
+Sturm chain is also the exact fallback of production root extraction, so
+the tests check exact roots against Fraction evaluation instead); the
+cofactor charge expands the defining Vandermonde determinant minor by minor;
+the kernel-sign scan only evaluates charges on a corner family with
+sign-change bisection; the pointwise support check evaluates Q(gamma(t)) at
+every grid point and pairs member by member with the scalar loop, extracting
+roots on every call.
 """
 
 import math
@@ -22,48 +21,10 @@ from .charge import ReducedCharge, eval_charge, gamma, reduced_charge
 from .errors import ComplexRoots, NotDistinctRoots
 from .exact import all_exact, bareiss_det, det, is_negative_definite
 from .interlace import PLUS_INFINITY, RootTuple, pencil_canonical
-from .poly import poly_derivative, poly_mul, sturm_count_real, trim
+from .poly import lagrange_coeffs, poly_derivative, sturm_count_real, sylvester_resultant, trim
 from .quadform import SupportReport, kernel_of_line
 
 ORACLE_SAMPLES = 256
-
-
-def sylvester_resultant(p, q):
-    """Resultant of two rational polynomials via the Sylvester determinant."""
-    p = trim([Fraction(x) for x in p])
-    q = trim([Fraction(x) for x in q])
-    dp, dq = len(p) - 1, len(q) - 1
-    if dp == 0:
-        return p[0] ** dq
-    if dq == 0:
-        return q[0] ** dp
-    size = dp + dq
-    rows = []
-    desc_p = list(reversed(p))
-    desc_q = list(reversed(q))
-    for i in range(dq):
-        rows.append([Fraction(0)] * i + desc_p + [Fraction(0)] * (size - i - dp - 1))
-    for i in range(dp):
-        rows.append([Fraction(0)] * i + desc_q + [Fraction(0)] * (size - i - dq - 1))
-    return bareiss_det(rows)
-
-
-def lagrange_coeffs(xs, ys):
-    """Exact interpolation through (xs, ys); ascending coefficients."""
-    n = len(xs)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        basis = (Fraction(1),)
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            basis = poly_mul(basis, (-Fraction(xs[j]), Fraction(1)))
-            denom *= Fraction(xs[i]) - Fraction(xs[j])
-        scale = Fraction(ys[i]) / denom
-        for k, c in enumerate(basis):
-            out[k] += scale * c
-    return trim(out)
 
 
 def _real_rooted_distinct_exact(p) -> bool:

@@ -11,13 +11,14 @@ of the plain product and Horner loops.
 
 The integer Horner value ``scaled_value``, the Sturm chain and its sign
 variations serve exact root certification (interlace) and the Sturm count of
-the brute-force oracles.
+the brute-force oracles; the Sylvester resultant and Lagrange interpolation
+are exact routines for the oracles alone.
 """
 
 from fractions import Fraction
 from math import gcd, inf
 
-from .exact import all_exact, integer_scaled, is_exact
+from .exact import all_exact, bareiss_det, integer_scaled, is_exact
 
 
 def poly_eval(coeffs, x):
@@ -122,7 +123,7 @@ def poly_shift_arg(coeffs, m):
 
 
 # ---------------------------------------------------------------------------
-# integer sign evaluation and Sturm sequences
+# integer sign evaluation, Sturm sequences, and the exact routines of the oracles
 
 
 def trim(p):
@@ -189,3 +190,41 @@ def sturm_count_real(p) -> int:
         return 0
     chain = sturm_chain(p)
     return sign_variations(chain, -inf) - sign_variations(chain, inf)
+
+
+def sylvester_resultant(p, q):
+    """Resultant of two rational polynomials via the Sylvester determinant."""
+    p = trim([Fraction(x) for x in p])
+    q = trim([Fraction(x) for x in q])
+    dp, dq = len(p) - 1, len(q) - 1
+    if dp == 0:
+        return p[0] ** dq
+    if dq == 0:
+        return q[0] ** dp
+    size = dp + dq
+    rows = []
+    desc_p = list(reversed(p))
+    desc_q = list(reversed(q))
+    for i in range(dq):
+        rows.append([Fraction(0)] * i + desc_p + [Fraction(0)] * (size - i - dp - 1))
+    for i in range(dp):
+        rows.append([Fraction(0)] * i + desc_q + [Fraction(0)] * (size - i - dq - 1))
+    return bareiss_det(rows)
+
+
+def lagrange_coeffs(xs, ys):
+    """Exact interpolation through (xs, ys); ascending coefficients."""
+    n = len(xs)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        basis = (Fraction(1),)
+        denom = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            basis = poly_mul(basis, (-Fraction(xs[j]), Fraction(1)))
+            denom *= Fraction(xs[i]) - Fraction(xs[j])
+        scale = Fraction(ys[i]) / denom
+        for k, c in enumerate(basis):
+            out[k] += scale * c
+    return trim(out)

@@ -430,8 +430,8 @@ def _check_support(parts: _FormParts, data: _LineData, margin, vanish_tol=1e-8, 
     """The support check of verify_support on one form's parts.
 
     first=True asks for the verdict alone, as a rung of the alpha ladder
-    does: the pairings are skipped after a failing part, their scan stops at
-    its first failure, and pairing_ok then reads False.
+    does: after a failing vanishing or kernel part the pairings are skipped
+    and pairing_ok reads False.
     """
     n = data.ambient
     if parts.coeffs is not None:
@@ -446,9 +446,7 @@ def _check_support(parts: _FormParts, data: _LineData, margin, vanish_tol=1e-8, 
     if first and failures:
         return SupportReport(ok_a, ok_b, False, max_resid, failures)
 
-    bad = _member_pairing_failures(parts, data, margin, first)
-    if first and bad:
-        return SupportReport(ok_a, ok_b, False, max_resid, failures + bad)
+    bad = _member_pairing_failures(parts, data, margin)
     # degree-drop member (r_1, ..., r_(n-1), +inf): only the pairs against
     # gamma(+inf) are strict at this level (the finite pairs are the projected
     # line's conditions, verified one ambient lower)
@@ -534,18 +532,14 @@ def _member_pairings(Q, stack):
     return total, abssum
 
 
-def _member_pairing_failures(parts, data, margin, first=False):
+def _member_pairing_failures(parts, data, margin):
     """Records where (-1)^(i+j) P(gamma_i, gamma_j) fails > 0 on a sampled member.
 
     A value within max(margin, 1e-9) of its absolute-term sum, or not
     finite, is decided exactly, so wildly different magnitudes across the
     matrix cannot mask a sign.  Members whose roots failed certification
     report ("pairing-roots", theta) in their place in the sampling order.
-    With first=True the scan returns one failure record as soon as it finds
-    one.
     """
-    if first and (lost := [("pairing-roots", th) for th, gam in data.members if gam is None]):
-        return lost[:1]
     total = parts.total
     m = total.shape[1]
     sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
@@ -553,16 +547,14 @@ def _member_pairing_failures(parts, data, margin, first=False):
         flagged = ~(np.abs(total) > max(margin, 1e-9) * parts.abssum)
         wrong = ~(sign * total > 0)
     suspect = (flagged | wrong) & np.triu(np.ones((m, m), dtype=bool), 1)
-    rooted = [(theta, gam) for theta, gam in data.members if gam is not None]
+    rooted = [gam for _, gam in data.members if gam is not None]
     found = {}
     for (k, a, b), exact, val in zip(np.argwhere(suspect).tolist(), flagged[suspect].tolist(),
                                      total[suspect].tolist()):
         if exact:
-            val = parts.exact_pair((k, a, b), rooted[k][1][a], rooted[k][1][b])
+            val = parts.exact_pair((k, a, b), rooted[k][a], rooted[k][b])
             if (val if (a + b) % 2 == 0 else -val) > 0:
                 continue
-        if first:
-            return [("pairing", rooted[k][0], a + 1, b + 1, float(val))]
         found.setdefault(k, []).append((a + 1, b + 1, float(val)))
     failures = []
     k = 0

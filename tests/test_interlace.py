@@ -205,7 +205,8 @@ class TestExactRounding:
             e = F(1, 10 ** k)
             for _ in range(20):
                 a = F(rng.randint(-50, 50), rng.randint(1, 7))
-                r1, r2 = rng.sample([F(x, 3) for x in range(-90, 90) if F(x, 3) not in (a, a + e)], 2)
+                outside = [F(x, 3) for x in range(-90, 90) if F(x, 3) not in (a, a + e)]
+                r1, r2 = rng.sample(outside, 2)
                 outer = poly_mul((-r1, 1), (-r2, 1))
                 real = Polynomial(poly_mul(outer, poly_mul((-a, 1), (-a - e, 1))), 4)
                 if float(a) == float(a + e):

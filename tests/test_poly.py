@@ -13,8 +13,7 @@ import pytest
 
 from redstab.charge import charge_of_poly
 from redstab.interlace import PLUS_INFINITY, Polynomial, RootTuple, roots_to_poly
-from redstab.oracles import lagrange_coeffs
-from redstab.poly import poly_from_roots, poly_shift_arg, shift_difference, trim
+from redstab.poly import lagrange_coeffs, poly_from_roots, poly_shift_arg, shift_difference, trim
 
 
 def _ref_from_roots(roots):

@@ -406,18 +406,10 @@ class TestAlphaLadder:
                 full = quadform._check_support(parts, data, quadform.SUPPORT_MARGIN)
                 fast = quadform._check_support(parts, data, quadform.SUPPORT_MARGIN, first=True)
                 assert fast.ok == full.ok
-                assert len(fast.failures) == (0 if full.ok else 1)
-                assert all(f in full.failures for f in fast.failures)
+                assert fast.failures == full.failures[:len(fast.failures)]
                 kinds.update(f[0] for f in fast.failures)
                 alpha *= 2
         assert kinds == {"kernel"}    # on rungs a pairing failure comes with a kernel one
-        # the pairing scan alone: the negated support form fails every pairing
-        line = Pencil.from_tuples(RT(F(0), F(2), F(4)), RT(F(1), F(3), F(5)))
-        data = quadform._line_data(line, 50)
-        parts = quadform._form_parts(q_tilde(line).scaled(-1), data)
-        full = quadform._member_pairing_failures(parts, data, quadform.SUPPORT_MARGIN)
-        fast = quadform._member_pairing_failures(parts, data, quadform.SUPPORT_MARGIN, first=True)
-        assert len(full) > 1 and fast == full[:1] and fast[0][0] == "pairing"
 
     def test_cap_message_is_the_last_candidates_report(self, monkeypatch):
         # this line needs alpha = 16; with the cap at 8 the message carries
