@@ -13,7 +13,16 @@ import pytest
 
 from redstab.charge import charge_of_poly
 from redstab.interlace import PLUS_INFINITY, Polynomial, RootTuple, roots_to_poly
-from redstab.poly import lagrange_coeffs, poly_from_roots, poly_shift_arg, shift_difference, trim
+from redstab.poly import (
+    lagrange_coeffs,
+    poly_from_roots,
+    poly_mul,
+    poly_shift_arg,
+    shift_difference,
+    sturm_chain,
+    sturm_count_real,
+    trim,
+)
 
 
 def _ref_from_roots(roots):
@@ -156,3 +165,25 @@ class TestOracleRoutines:
     def test_trim(self):
         assert trim([1, 2, 0, 0]) == [1, 2]
         assert trim([0, 0]) == [0]
+
+    def test_sturm_count_with_multiplicities_and_complex_factors(self):
+        # prod (x - r_i)^(k_i) times irreducible (x - a)^2 + b^2 factors: the
+        # count is the number of distinct r_i, and gcd(p, p') (the chain's last
+        # member) is constant exactly when every k_i is 1 and no factor repeats
+        rng = random.Random(21)
+        candidates = sorted({F(x, d) for x in range(-30, 30) for d in (1, 2, 3)})
+        for _ in range(200):
+            roots = rng.sample(candidates, rng.randint(0, 4))
+            mults = [rng.choice((1, 1, 2, 3)) for _ in roots]
+            p = (F(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1)),)
+            for r, k in zip(roots, mults):
+                for _ in range(k):
+                    p = poly_mul(p, (-r, 1))
+            quadratics = [(F(rng.randint(-9, 9), 2), F(rng.randint(1, 9), 3))
+                          for _ in range(rng.randint(0, 2))]
+            for a, b in quadratics:
+                p = poly_mul(p, (a * a + b * b, -2 * a, 1))
+            assert sturm_count_real(p) == len(roots)
+            if len(p) > 1:
+                squarefree = all(k == 1 for k in mults) and len(set(quadratics)) == len(quadratics)
+                assert (len(sturm_chain(p)[-1]) == 1) == squarefree
