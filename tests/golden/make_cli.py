@@ -11,9 +11,10 @@ point-class figure at m = 2 and at m = 50, whose curves need a viewport taller
 than wide), the exact weights of a four-entry tuple, a degree-3 restriction
 with irrational roots, an interlacing check of an exact quartic and its
 derivative (irrational roots at degrees 4 and 3), the sampled separation of
-a float cubic pencil, and the discriminant-family check twice: the default
+a float cubic pencil, the discriminant-family check twice (the default
 pencil-family scan on a coherent kernel vector and a fixed-beta scan on a
-mixed one.  The support
+mixed one), the restriction of an exact interlaced charge, and the cone
+membership of an exact quadratic charge with irrational roots.  The support
 check is pinned twice on one line: its own ``q_tilde`` form passes, and the
 negated form fails with a ``kernel`` record and float ``pairing`` records.
 ``tests/test_golden.py`` runs every case in-process and compares the output
@@ -54,6 +55,9 @@ CASES = {
                               "--beta", "1/3"],
     "quadform_verify.json": ["quadform", "verify", "--s", '["0","2","4"]',
                              "--t", '["1","3","5"]'],
+    "restrict_charge.json": ["restrict", "charge", "--s", '["-1","1","3"]',
+                             "--t", '["0","2","4"]', "--m", "1/2", "--c1", "1", "--c2", "2"],
+    "charge_in_bn.json": ["charge", "in-bn", "--weights", '["-3/2","1/2","1"]'],
     "quadform_verify_negated.json": [
         "quadform", "verify", "--s", '["0","2","4"]', "--t", '["1","3","5"]',
         "--gram", '[["0","0","17/2","-15/2"],["0","-17/2","5/2","3"],'
