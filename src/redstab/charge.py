@@ -23,10 +23,9 @@ import numpy as np
 
 from .errors import (
     AmbientMismatch,
-    ComplexRoots,
     DecompositionFailed,
+    DegenerateInput,
     InKernelOfLine,
-    NotDistinctRoots,
     NotInKernel,
 )
 from .exact import all_exact, coerce, integer_scaled, solve
@@ -162,68 +161,64 @@ def in_Bn(B: ReducedCharge, d=0):
     Returns (c, t) with c > 0 and B = c * B_t, or None: None covers complex
     or repeated roots, a nonpositive scale, and sep(t) <= d.
     """
-    n = B.ambient
-    if all(w == 0 for w in B.weights):
+    dec = _scaled_member(B)
+    if dec is None or not dec[1].roots().sep() > d:
         return None
-    if B.weights[n] != 0:
-        c = B.weights[n]
-    else:
-        c = -B.weights[n - 1]
+    return dec[0], dec[1].roots()
+
+
+def _scaled_member(B: ReducedCharge):
+    """(c, f) with c > 0 and B = c * charge_of_poly(f) for a monic certified member f, or None."""
+    n = B.ambient
+    c = B.weights[n] if B.weights[n] != 0 else -B.weights[n - 1]
     if not c > 0:
         return None
-    try:
-        t = poly_of_charge(B.scaled(1 / c)).roots()
-    except (ComplexRoots, NotDistinctRoots):
-        return None
-    if not t.sep() > d:
-        return None
-    return (c, t)
+    f = poly_of_charge(B.scaled(1 / c))
+    return (c, f) if f.is_member() else None
 
 
 def split_central(Z: CentralCharge):
-    """The split Z = c1*B_s + i*c2*B_t, as (c1, s, c2, t) with c2 > 0.
+    """The split Z = c1*B_s + i*c2*B_t with interlaced s and t, as (c1, c2, line).
 
-    The imaginary part must be a positive scaled charge and the real part a
-    scaled charge of either sign (c1 < 0 through its negation); raises
-    DecompositionFailed naming the part that is not.
+    c2 > 0, and line is the strict Pencil through the monic members whose
+    certified roots are s and t (gen_a and gen_b).  The imaginary part must
+    be a positive scaled charge and the real part a scaled charge of either
+    sign (c1 < 0 through its negation); raises DecompositionFailed naming
+    the part that is not, or when s and t do not interlace.
     """
-    dec_t = in_Bn(Z.imag)
+    dec_t = _scaled_member(Z.imag)
     if dec_t is None:
         raise DecompositionFailed("imaginary part is not a positive charge")
-    dec_s = in_Bn(Z.real)
+    dec_s = _scaled_member(Z.real)
     if dec_s is None:
-        dec_s = in_Bn(Z.real.scaled(-1))
+        dec_s = _scaled_member(Z.real.scaled(-1))
         if dec_s is None:
             raise DecompositionFailed("real part is not a signed charge")
         dec_s = (-dec_s[0], dec_s[1])
-    return dec_s + dec_t
+    try:
+        return dec_s[0], dec_t[0], Pencil(dec_s[1], dec_t[1])
+    except DegenerateInput as exc:
+        raise DecompositionFailed("part parameters do not interlace") from exc
 
 
 def in_Un(Z: CentralCharge, d=0) -> bool:
     """Membership of a central charge in the interlaced cone at separation d.
 
-    Decomposes the parts as c1*B_s + i*c2*B_t and checks c2 > 0, the strict
-    interlacing of s and t, the sign of c1 against the orientation (c1 < 0
-    when t < s, c1 > 0 when s < t), and for d > 0 the sampled separation of
-    the spanned line.
+    Splits the parts as c1*B_s + i*c2*B_t with c2 > 0 and s, t interlaced
+    (split_central), then checks the sign of c1 against the orientation
+    (c1 > 0 when s < t, c1 < 0 when t < s) and for d > 0 the sampled
+    separation of the spanned line.  The Wronskian of interlaced members has
+    no real zero, so the sign rule reads r_1 m_0 - r_0 m_1 < 0 on the weights
+    r of Re Z and m of Im Z (see interlace.left_interlaced).
     """
     try:
-        c1, s, _, t = split_central(Z)
+        _, _, line = split_central(Z)
     except DecompositionFailed:
         return False
-    if t < s and s.lt_shift(t):
-        if not c1 < 0:
-            return False
-    elif s < t and t.lt_shift(s):
-        if not c1 > 0:
-            return False
-    else:
+    r, m = Z.real.weights, Z.imag.weights
+    if not r[1] * m[0] - r[0] * m[1] < 0:
         return False
-    if d > 0:
-        line = Pencil.from_tuples(s, t)
-        if not sep_pencil(line) > d:
-            return False
-    return True
+    return not d > 0 or sep_pencil(line) > d
 
 
 @dataclass(frozen=True)

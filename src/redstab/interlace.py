@@ -22,11 +22,16 @@ _effective_degree: leading coefficients at most LEAD_ZERO_TOL times the
 largest one drop one after another.
 
 On float input the verdict (real, distinct) rests on ROOT_IMAG_TOL and
-ROOT_DISTINCT_TOL.  On exact input of degree 3 and above it rests on signs
-alone: each float estimate is certified as a root correctly rounded by a
-sign change of f between its two half-ulp midpoints, evaluated by integer
-Horner (_rounded_roots); where that fails, a gcd and Sturm count decide and
-Sturm bisection isolates the roots (_isolated_roots).
+ROOT_DISTINCT_TOL.  On exact input it rests on signs alone, at every degree:
+rational roots up to degree 2 come out as Fractions, and every other
+estimate (the scalar closed form at degree 2, eigenvalues above) is
+certified as a root correctly rounded by a sign change of f between its two
+half-ulp midpoints, evaluated by integer Horner (_rounded_roots); where that
+fails, a gcd and Sturm count decide and Sturm bisection isolates the roots
+(_isolated_roots).  So interlacing of exact members is exact too, and the
+Wronskian f'g - fg' decides it where their roots share a float.  The
+Wronskian of interlaced members has no real zero, so its value at 0,
+f_1 g_0 - f_0 g_1, fixes their orientation (left_interlaced, _lead).
 """
 
 import math
@@ -227,44 +232,36 @@ def _newton_polish(coeffs_f, dcoeffs_f, x):
 
 
 def _extract_roots(f: Polynomial) -> RootTuple:
-    deg = f.degree
-    if not all_exact(f.coeffs):
+    deg, exact = f.degree, all_exact(f.coeffs)
+    if not exact:
         deg = _effective_degree([float(c) for c in f.coeffs])
         if deg < f.ambient - 1:
             raise NotDistinctRoots("two vanishing leading coefficients")
     coeffs = f.coeffs[: deg + 1]
-    # low degrees solve in closed form, exactly when the data allows
+    # low degrees solve in closed form, exactly when the roots are rational
     if deg == 0:
         return _pad_inf((), f.ambient)
     if deg == 1:
         return _pad_inf((-coeffs[0] / coeffs[1],), f.ambient)
     if deg == 2:
-        c0, c1, c2 = coeffs[0], coeffs[1], coeffs[2]
+        c0, c1, c2 = coeffs
         disc = c1 * c1 - 4 * c0 * c2
-        if all_exact((c0, c1, c2)):
-            if disc <= 0:
-                if disc == 0:
-                    raise NotDistinctRoots("double root (zero discriminant)")
-                raise ComplexRoots("negative discriminant")
-            sq = exact_sqrt(disc)
-            if sq is not None:
-                r1 = (-c1 - sq) / (2 * c2)
-                r2 = (-c1 + sq) / (2 * c2)
-                return _pad_inf(tuple(sorted((r1, r2))), f.ambient)
-            disc = float(disc)
-        if disc <= 0:
-            scale = max(abs(float(c1)), abs(float(c0) * float(c2))) or 1.0
+        sq = exact_sqrt(disc)       # None on floats, negatives and irrational roots
+        if sq:                      # 0, a double root, falls through with the complex ones
+            return _pad_inf(tuple(sorted(((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)))),
+                            f.ambient)
+        if not exact and disc <= 0:
+            scale = max(abs(c1), abs(c0 * c2)) or 1.0
             if abs(disc) <= (ROOT_IMAG_TOL * scale) ** 2:
                 raise NotDistinctRoots("double root within tolerance")
             raise ComplexRoots("negative discriminant")
-        if float(c2) == 0:
-            raise ValueError(f"leading coefficient {c2} below the float range")
-        sq = math.sqrt(disc)
-        r1 = (-float(c1) - sq) / (2 * float(c2))
-        r2 = (-float(c1) + sq) / (2 * float(c2))
-        return _pad_inf(_distinct_sorted([r1, r2]), f.ambient)
-    (roots,) = _polished_eigvals(np.array([[float(c) for c in coeffs]]))
-    if all_exact(coeffs):
+        roots = None        # exact without float estimates: _isolated_roots decides
+        if not exact or (disc > 0 and float(c2)):
+            sq = math.sqrt(disc)
+            roots = [(-float(c1) - sq) / (2 * float(c2)), (-float(c1) + sq) / (2 * float(c2))]
+    else:
+        (roots,) = _polished_eigvals(np.array([[float(c) for c in coeffs]]))
+    if exact:
         return _pad_inf(_rounded_roots(integer_scaled(coeffs)[0], roots), f.ambient)
     if roots is None:
         raise ComplexRoots(f"imaginary part above {ROOT_IMAG_TOL} relative")
@@ -511,12 +508,12 @@ def is_interlaced(f: Polynomial, g: Polynomial) -> bool:
     distinct roots.  Inputs failing root certification are reported
     as not interlaced.  Raises DegenerateInput on proportional inputs.
 
-    When both members are exact with correctly rounded roots (rational
-    roots, or degree 3 and above) the verdict is exact: rounding is
-    monotone, so rounded roots that strictly alternate, with no float shared
-    by f and g, come from exact roots that do.  When a float is shared, the
-    exact roots interlace iff the Wronskian f'g - fg' has no real zero and
-    not both members drop degree.
+    When both members are exact the verdict is exact: their roots are
+    rational or correctly rounded, and rounding is monotone, so roots whose
+    floats strictly alternate, with no float shared by f and g, are exact
+    roots that do.  When a float is shared, the exact roots interlace iff
+    the Wronskian f'g - fg' has no real zero and not both members drop
+    degree.
     """
     if f.ambient != g.ambient:
         raise ValueError("ambient mismatch")
@@ -526,7 +523,7 @@ def is_interlaced(f: Polynomial, g: Polynomial) -> bool:
         rf, rg = f.roots(), g.roots()
     except (ComplexRoots, NotDistinctRoots):
         return False
-    if set(rf.finite) & set(rg.finite) and all_exact(f.coeffs + g.coeffs):
+    if set(map(float, rf.finite)) & set(map(float, rg.finite)) and all_exact(f.coeffs + g.coeffs):
         df, dg = poly_derivative(f.coeffs), poly_derivative(g.coeffs)
         wronskian = poly_add(poly_mul(df, g.coeffs), poly_scale(poly_mul(f.coeffs, dg), -1))
         return not (rf.has_infinity and rg.has_infinity) and sturm_count_real(wronskian) == 0
@@ -536,15 +533,26 @@ def is_interlaced(f: Polynomial, g: Polynomial) -> bool:
 def left_interlaced(f: Polynomial, g: Polynomial) -> bool:
     """The oriented test: interlaced and g is negative at f's largest root.
 
-    When deg f = n-1 (largest root +inf), the sign of g at +inf is read off
-    its leading coefficient.
+    When f drops degree (largest root +inf), g's sign at +inf counts.  The
+    Wronskian f'g - fg' of interlaced members has no real zero and the sign
+    lead(f) g(r) at f's largest root r, so the test reads its value at 0.
     """
-    if not is_interlaced(f, g):
-        return False
-    rf = f.roots()
-    if rf.has_infinity:
-        return g.leading < 0
-    return g(rf.entries[-1]) < 0
+    return is_interlaced(f, g) and _lead(f) * _wronskian_at_zero(f, g) < 0
+
+
+def _lead(f: Polynomial):
+    """f_n, or -f_(n-1) when f's certified roots end in +inf.
+
+    For interlaced f and g, f's roots come first exactly when
+    _lead(f) * _lead(g) * _wronskian_at_zero(f, g) < 0.
+    """
+    n = f.ambient
+    return -f.coeffs[n - 1] if f.roots().has_infinity else f.coeffs[n]
+
+
+def _wronskian_at_zero(f: Polynomial, g: Polynomial):
+    """(f'g - fg')(0) = f_1 g_0 - f_0 g_1."""
+    return f.coeffs[1] * g.coeffs[0] - f.coeffs[0] * g.coeffs[1]
 
 
 def proportional(a, b) -> bool:
@@ -722,8 +730,7 @@ def stabilizing_shift(f: Polynomial, g: Polynomial, d) -> float:
     Requires roots(f) < roots(g) < roots(f)[1] and d below the separation of
     the line through f and g; found by doubling with re-verification.
     """
-    rf, rg = f.roots(), g.roots()
-    if not (rf < rg and rg.lt_shift(rf)):
+    if not (is_interlaced(f, g) and _lead(f) * _lead(g) * _wronskian_at_zero(f, g) < 0):
         raise DegenerateInput("need roots(f) < roots(g) < roots(f)[1]")
     base = sep_pencil(Pencil(f, g))
     if not d < base:

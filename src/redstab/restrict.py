@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from .charge import CentralCharge, ReducedCharge, reduced_charge, split_central
 from .errors import DecompositionFailed, InvalidAmbient, InvariantViolated, SepViolation
 from .exact import coerce
-from .interlace import (
-    PLUS_INFINITY,
-    Pencil,
-    Polynomial,
-    RootTuple,
-    sep_pencil,
-)
+from .interlace import PLUS_INFINITY, Polynomial, RootTuple, sep_pencil
 from .poly import shift_difference
 
 
@@ -126,23 +120,21 @@ WEIGHT_MATCH_TOL = 1e-10
 def restrict_charge(Z: CentralCharge, m) -> RestrictedCharge:
     """Composition of an interlaced-cone charge with the section pushforward.
 
-    The parts of Z must decompose as c1 B_s + i c2 B_t with the line's
-    separation above m (sampled check); the composed parts are verified to be
+    The parts of Z must decompose as c1 B_s + i c2 B_t with s and t
+    interlaced (split_central) and the line's separation above m (sampled
+    check); the composed parts are verified to be
     c_i m times the charges of the restricted tuples, and DecompositionFailed
     flags any mismatch beyond tolerance (an internal-consistency alarm).
     """
     n = Z.ambient
-    c1, s, c2, t = split_central(Z)
-    if not s.interlaces(t):
-        raise DecompositionFailed("part parameters do not interlace")
-    line = Pencil.from_tuples(s, t)
+    c1, c2, line = split_central(Z)
     if not sep_pencil(line) > m:
         raise SepViolation(f"sep of the spanned line must exceed {m}")
     matrix = pushforward_matrix(n, m)
     real_c = compose_with_pushforward(Z.real, matrix)
     imag_c = compose_with_pushforward(Z.imag, matrix)
-    s_r = xi(s, m)
-    t_r = xi(t, m)
+    s_r = xi(line.gen_a.roots(), m)
+    t_r = xi(line.gen_b.roots(), m)
     scale_real = c1 * m
     scale_imag = c2 * m
     _verify_prediction(real_c, s_r, scale_real)

@@ -10,13 +10,15 @@ carries no timings), both figures as SVG (the surface figure, and the
 point-class figure at m = 2 and at m = 50, whose curves need a viewport taller
 than wide), the exact weights of a four-entry tuple, a degree-3 restriction
 with irrational roots, an interlacing check of an exact quartic and its
-derivative (irrational roots at degrees 4 and 3), the sampled separation of
-a float cubic pencil, the discriminant-family check twice (the default
-pencil-family scan on a coherent kernel vector and a fixed-beta scan on a
-mixed one), the restriction of an exact interlaced charge, and the cone
-membership of an exact quadratic charge with irrational roots.  The support
-check is pinned twice on one line: its own ``q_tilde`` form passes, and the
-negated form fails with a ``kernel`` record and float ``pairing`` records.
+derivative (irrational roots at degrees 4 and 3), an interlacing check of
+exact quadratics where an irrational root rounds to the other's rational
+root, the sampled separation of a float cubic pencil, the
+discriminant-family check twice (the default pencil-family scan on a
+coherent kernel vector and a fixed-beta scan on a mixed one), the
+restriction of an exact interlaced charge, and the cone membership of an
+exact quadratic charge with irrational roots.  The support check is pinned
+twice on one line: its own ``q_tilde`` form passes, and the negated form
+fails with a ``kernel`` record and float ``pairing`` records.
 ``tests/test_golden.py`` runs every case in-process and compares the output
 byte for byte; it never writes the files.
 """
@@ -33,6 +35,8 @@ CASES = {
     "interlace_check.json": ["interlace", "check", "--f", "[0,-1,1]", "--g", "[12,-7,1]"],
     "interlace_check_quartic.json": ["interlace", "check", "--f", "[1,0,-10,0,1]",
                                      "--g", "[0,-20,0,4,0]"],
+    "interlace_check_tie.json": ["interlace", "check", "--f", "[0,-1,3]", "--g",
+                                 '["1999999999999999997/30000000000000000000","-8/15","1"]'],
     "interlace_sep_pencil_float.json": ["interlace", "sep-pencil",
                                         "--f", "[0.25,-1.5,0.5,1.0]",
                                         "--g", "[-1.5,1.0,3.0,0.0]"],

@@ -165,9 +165,19 @@ class TestInUn:
                           reduced_charge(RT(F(0), F(2))))
         assert not in_Un(Z)
 
+    def test_parts_that_do_not_interlace(self):
+        for s in (RT(F(0), F(1)), RT(F(0), F(2)), RT(F(-1), F(3))):
+            assert not in_Un(CentralCharge(reduced_charge(s), reduced_charge(RT(F(0), F(2)))))
+
     def test_positive_orientation(self):
         Z = CentralCharge(reduced_charge(RT(F(0), F(2))),
                           reduced_charge(RT(F(1, 2), F(4))))
+        assert in_Un(Z)
+
+    def test_parts_whose_roots_share_a_float(self):
+        # t's first root rounds to s's second, 1.0; the exact roots interlace
+        Z = CentralCharge(reduced_charge(RT(F(0), F(1), F(3))),
+                          reduced_charge(RT(1 - F(1, 2 ** 60), F(2), F(4))))
         assert in_Un(Z)
 
     def test_separation_threshold(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redstab.charge import CentralCharge, in_Un, reduced_charge
 from redstab.errors import (
     ComplexRoots,
     DegenerateInput,
@@ -22,11 +23,13 @@ from redstab.interlace import (
     _companion_eigvals,
     _effective_degree,
     _isolated_roots,
+    _lead,
     _newton_polish,
     _newton_polish_rows,
     _polished_eigvals,
     _sep_batch,
     _sep_of_row,
+    _wronskian_at_zero,
     is_interlaced,
     left_interlaced,
     member_roots,
@@ -45,7 +48,8 @@ from redstab.interlace import (
     shift_pencil,
     stabilizing_shift,
 )
-from redstab.exact import integer_scaled
+from redstab.exact import exact_sqrt, integer_scaled
+from redstab.oracles import oracle_interlaced
 from redstab.poly import poly_eval, sturm_count_real
 
 
@@ -132,11 +136,18 @@ def _correctly_rounded(coeffs, xs) -> bool:
 
 
 class TestExactRounding:
-    """Exact input at degree >= 3: verdicts from signs, roots correctly rounded."""
+    """Exact input: verdicts from signs, roots rational or correctly rounded."""
 
     @staticmethod
     def _cases():
-        """(coeffs, want): want is the rounded rational roots, or None where irrational."""
+        """(coeffs, want): want is the roots, or None to take the exact bisection route's.
+
+        Rational roots stay Fractions at degree 2 and are rounded above it.
+        """
+        # cancellation in the float closed form gave (7.450580596923828e-09, 100000000.0);
+        # roots 1 -+ 1.414e-10, closer than ROOT_DISTINCT_TOL
+        yield (F(1), F(-10 ** 8), F(1)), (1e-08, 99999999.99999999)
+        yield (1 - 2 * F(1, 10 ** 20), F(-2), F(1)), None
         rng = random.Random(4)
         for n in range(3, 7):
             for _ in range(8):
@@ -155,15 +166,31 @@ class TestExactRounding:
                 f = roots_to_poly(RT(*sorted(t))).coeffs
                 m = F(rng.randint(1, 8), rng.randint(1, 8))
                 yield poly_add(f, poly_scale(poly_shift_arg(f, -m), -1))[: n + 1], None
+        for k in range(13):
+            for _ in range(80):
+                # lead (x - r)(x - r - w), and off the rationals lead ((x - r)(x - r - w) + e)
+                # with 0 < e < w^2 / 4: roots 10^-k apart, or 10^k apart with cancellation
+                r = F(rng.randint(-50, 50), rng.randint(1, 7))
+                w = rng.randint(1, 99) * F(10) ** rng.choice((k, -k))
+                e = w * w * F(rng.randint(1, 99), 10 ** rng.randint(3, 12))
+                lead = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                pair = poly_mul((-r, 1), (-r - w, 1))
+                yield poly_scale(pair, lead), (r, r + w)
+                c0, c1, c2 = poly_scale(poly_add(pair, (e,)), lead)
+                if exact_sqrt(c1 * c1 - 4 * c0 * c2) is None:
+                    yield (c0, c1, c2), None
 
     def test_roots_equal_rounded_truth(self):
+        irrational_quadratics = 0
         for coeffs, want in self._cases():
+            irrational_quadratics += want is None and len(coeffs) == 3
             got = Polynomial(coeffs, len(coeffs) - 1).roots().entries
             if want is None:
                 # irrational roots: the exact bisection route, checked on Fractions
                 want = _isolated_roots(integer_scaled(coeffs)[0])
                 assert _correctly_rounded(coeffs, want)
             assert got == want
+        assert irrational_quadratics >= 1000
 
     def test_near_double_root_is_not_a_member(self):
         # (x^2 - 2x + 1 + 1e-14)(x - 2)(x - 3): two distinct real roots by Sturm
@@ -225,6 +252,12 @@ class TestExactRounding:
         verdicts = [is_interlaced(f, roots_to_poly(RT(r, F(2), F(4))))
                     for r in (1 - eps, F(1), 1 + eps)]
         assert verdicts == [True, False, False]
+        # g's second root is irrational and rounds to f's Fraction root 1/3
+        f = Polynomial((0, -1, 3), 2)
+        for k in (19, 20, 21):
+            g = Polynomial(poly_add(poly_mul((-F(1, 5), 1), (-F(1, 3), 1)), (-F(1, 10 ** k),)), 2)
+            assert float(g.roots()[1]) == float(f.roots()[1])
+            assert is_interlaced(f, g) and oracle_interlaced(f.coeffs, g.coeffs)
 
 
 class TestMemberRoots:
@@ -330,6 +363,48 @@ class TestInterlaced:
         f = roots_to_poly(RT(0, 2))
         g = roots_to_poly(RT(1, PLUS_INFINITY), 2).scaled(-1)
         assert left_interlaced(f, g)  # leading coefficient of g is negative
+
+
+class TestOrientation:
+    """The Wronskian sign at 0 against the root-tuple comparisons it replaces."""
+
+    @staticmethod
+    def _pairs():
+        """3,200 seeded interlaced (s, t, a, b), n = 1..5: either tuple first, the later
+        one ending in +inf for a quarter of them, and scalings a, b of both signs."""
+        rng = random.Random(11)
+        for n in range(1, 6):
+            for _ in range(640):
+                xs = set()
+                while len(xs) < 2 * n:
+                    xs.add(F(rng.randint(-60, 60), rng.randint(1, 6)))
+                xs = sorted(xs)
+                first, second = xs[0::2], xs[1::2]
+                if rng.random() < 0.25:
+                    second[-1] = PLUS_INFINITY
+                s, t = (first, second) if rng.random() < 0.5 else (second, first)
+                a, b = (F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                        for _ in range(2))
+                yield RT(*s), RT(*t), a, b
+
+    def test_sign_rules_match_tuple_comparisons(self):
+        count = 0
+        for s, t, a, b in self._pairs():
+            f, g = roots_to_poly(s).scaled(a), roots_to_poly(t).scaled(b)
+            s_first, t_first = s < t and t.lt_shift(s), t < s and s.lt_shift(t)
+            assert s_first != t_first and is_interlaced(f, g)
+            w = _wronskian_at_zero(f, g)
+            assert (_lead(f) * _lead(g) * w < 0) == s_first
+            g_sign = g.leading if s.has_infinity else g(s[-1])
+            assert left_interlaced(f, g) == (g_sign < 0) == (_lead(f) * w < 0)
+            # Z = c1 B_s + i c2 B_t with c1 = a, c2 = |b|
+            Z = CentralCharge(reduced_charge(s).scaled(a), reduced_charge(t).scaled(abs(b)))
+            r, m = Z.real.weights, Z.imag.weights
+            want = a > 0 and s_first or a < 0 and t_first
+            assert (r[1] * m[0] - r[0] * m[1] < 0) == want
+            assert count % 4 or in_Un(Z) == want      # the whole route on a quarter
+            count += 1
+        assert count >= 3000
 
 
 class TestProportional:

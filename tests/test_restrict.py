@@ -163,6 +163,13 @@ class TestRestrictCharge:
         with pytest.raises(SepViolation):
             restrict_charge(Z, F(4))
 
+    def test_parts_whose_roots_share_a_float_interlace(self):
+        # the parts interlace exactly, so only the line's tiny separation fails
+        Z = CentralCharge(reduced_charge(RT(F(0), F(1), F(3))),
+                          reduced_charge(RT(1 - F(1, 2 ** 60), F(2), F(4))))
+        with pytest.raises(SepViolation):
+            restrict_charge(Z, F(1, 4))
+
     def test_non_member_part_rejected(self):
         from redstab.charge import ReducedCharge
 
@@ -170,3 +177,8 @@ class TestRestrictCharge:
                           reduced_charge(RT(F(0), F(4))))
         with pytest.raises(DecompositionFailed):
             restrict_charge(Z, F(1))
+        # parts that do not interlace, and proportional ones
+        for s in (RT(F(0), F(1)), RT(F(0), F(4))):
+            Z = CentralCharge(reduced_charge(s), reduced_charge(RT(F(0), F(4))))
+            with pytest.raises(DecompositionFailed, match="do not interlace"):
+                restrict_charge(Z, F(1, 4))
