@@ -81,6 +81,7 @@ from .interlace import (
     poly_to_roots,
     roots_to_poly,
     sep,
+    sep_exceeds,
     sep_pencil,
     shift_pencil,
     stabilizing_shift,

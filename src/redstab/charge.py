@@ -35,7 +35,7 @@ from .interlace import (
     Polynomial,
     RootTuple,
     roots_to_poly,
-    sep_pencil,
+    sep_exceeds,
 )
 
 VERDICT_ZERO_TOL = 1e-12     # |a_i| treated as zero in the sign verdict
@@ -206,10 +206,11 @@ def in_Un(Z: CentralCharge, d=0) -> bool:
 
     Splits the parts as c1*B_s + i*c2*B_t with c2 > 0 and s, t interlaced
     (split_central), then checks the sign of c1 against the orientation
-    (c1 > 0 when s < t, c1 < 0 when t < s) and for d > 0 the sampled
-    separation of the spanned line.  The Wronskian of interlaced members has
-    no real zero, so the sign rule reads r_1 m_0 - r_0 m_1 < 0 on the weights
-    r of Re Z and m of Im Z (see interlace.left_interlaced).
+    (c1 > 0 when s < t, c1 < 0 when t < s) and for d > 0 the separation of
+    the spanned line (interlace.sep_exceeds: certified on exact Z and d,
+    sampled otherwise).  The Wronskian of interlaced members has no real
+    zero, so the sign rule reads r_1 m_0 - r_0 m_1 < 0 on the weights r of
+    Re Z and m of Im Z (see interlace.left_interlaced).
     """
     try:
         _, _, line = split_central(Z)
@@ -218,7 +219,7 @@ def in_Un(Z: CentralCharge, d=0) -> bool:
     r, m = Z.real.weights, Z.imag.weights
     if not r[1] * m[0] - r[0] * m[1] < 0:
         return False
-    return not d > 0 or sep_pencil(line) > d
+    return not d > 0 or sep_exceeds(line, d)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,9 @@ fails, a gcd and Sturm count decide and Sturm bisection isolates the roots
 Wronskian f'g - fg' decides it where their roots share a float.  The
 Wronskian of interlaced members has no real zero, so its value at 0,
 f_1 g_0 - f_0 g_1, fixes their orientation (left_interlaced, _lead).
+Its finite difference f(x) h(x + d) - f(x + d) h(x) certifies on exact input
+that every member of a line has its gaps above d (sep_exceeds), which gates
+in_Un, restrict_charge and stabilizing_shift; sep_pencil samples the line.
 """
 
 import math
@@ -49,7 +52,7 @@ from .errors import (
     SearchBudgetExceeded,
     SepTooSmall,
 )
-from .exact import all_exact, coerce, exact_sqrt, integer_scaled
+from .exact import all_exact, coerce, exact_sqrt, integer_scaled, is_exact
 from .poly import (
     poly_add,
     poly_derivative,
@@ -59,6 +62,7 @@ from .poly import (
     poly_scale,
     poly_shift_arg,
     scaled_value,
+    shift_wronskian,
     sign_variations,
     sturm_chain,
     sturm_count_real,
@@ -255,12 +259,19 @@ def _extract_roots(f: Polynomial) -> RootTuple:
             if abs(disc) <= (ROOT_IMAG_TOL * scale) ** 2:
                 raise NotDistinctRoots("double root within tolerance")
             raise ComplexRoots("negative discriminant")
-        roots = None        # exact without float estimates: _isolated_roots decides
-        if not exact or (disc > 0 and float(c2)):
+    # exact coefficients beyond the float range give no estimates either:
+    # with roots None, _isolated_roots decides
+    try:
+        roots = None
+        if deg > 2:
+            (roots,) = _polished_eigvals(np.array([[float(c) for c in coeffs]]))
+        elif not exact or (disc > 0 and float(c2)):
             sq = math.sqrt(disc)
             roots = [(-float(c1) - sq) / (2 * float(c2)), (-float(c1) + sq) / (2 * float(c2))]
-    else:
-        (roots,) = _polished_eigvals(np.array([[float(c) for c in coeffs]]))
+    except OverflowError:
+        if not exact:
+            raise
+        roots = None
     if exact:
         return _pad_inf(_rounded_roots(integer_scaled(coeffs)[0], roots), f.ambient)
     if roots is None:
@@ -648,12 +659,39 @@ def member_with_root(l: Pencil, r) -> Polynomial:
     return member.monic()
 
 
+def sep_exceeds(l: Pencil, d) -> bool:
+    """Whether every member of the line has all root gaps above d.
+
+    On a strict exact line with an exact d > 0 the verdict is certified.
+    With f a full-degree generator and h the other one, it holds exactly
+    when (i) f and f(x + d) interlace, so that f's gaps exceed d, and (ii)
+    W_d(x) = f(x) h(x + d) - f(x + d) h(x) has no real zero.  A real zero x
+    of W_d is a member with the roots x and x + d, and the smallest gap of a
+    member is continuous along the line, so a member with a gap at most d
+    next to f forces a member with a gap of exactly d.  At ambient 1 there
+    are no gaps and (i) is vacuous.  Any other input keeps the sampled
+    sep_pencil(l) > d.
+    """
+    f, h = l.gen_a, l.gen_b
+    if not (l.strict and is_exact(d) and d > 0 and all_exact(f.coeffs + h.coeffs)):
+        return sep_pencil(l) > d
+    if f.degree < f.ambient:    # a strict line has at most one degree-drop member
+        f, h = h, f
+    f_d = Polynomial(poly_shift_arg(f.coeffs, d), f.ambient)
+    if f.ambient > 1 and not is_interlaced(f, f_d):
+        return False
+    return sturm_count_real(shift_wronskian(f.coeffs, h.coeffs, d)) == 0
+
+
 def sep_pencil(l: Pencil, angles: int = SEP_ANGLES) -> float:
     """Minimum root separation over the whole line.
 
     Dense angular sampling followed by golden-section refinement around the
     sampled minimum.  The resolution is a heuristic (no certified bound on
-    how fine a sampling is needed); callers that report results flag this.
+    how fine a sampling is needed); callers that report the value flag it as
+    uncertified.  The decisions "is the separation above d" of in_Un,
+    restrict_charge and stabilizing_shift go through sep_exceeds, which
+    certifies them on exact input and samples here otherwise.
     """
     a = np.array([float(c) for c in l.gen_a.coeffs])
     b = np.array([float(c) for c in l.gen_b.coeffs])
@@ -714,30 +752,40 @@ def _golden_min(fn, lo, hi, tol):
 
 
 def shift_pencil(f: Polynomial, m) -> Pencil:
-    """The line through f(x) and f(x + m); requires 0 < m < sep(f)."""
+    """The line through f(x) and f(x + m); requires 0 < m < sep(f).
+
+    On exact f and m the line's interlacing certificate decides the bound
+    (the roots r_i - m of f(x + m) alternate with the r_i exactly when every
+    gap exceeds m); on float input the rounded sep(f) does.  Both raise
+    SepTooSmall.
+    """
     if f.degree != f.ambient:
         raise ValueError("shift pencil needs a full-degree member")
     if not 0 < m:
         raise SepTooSmall("shift must be positive")
-    if not m < sep(f):
+    shifted = Polynomial(poly_shift_arg(f.coeffs, m), f.ambient)
+    exact = all_exact(f.coeffs) and is_exact(m)
+    if not (is_interlaced(f, shifted) if exact else m < sep(f)):
         raise SepTooSmall(f"shift {m} >= sep {sep(f)}")
-    return Pencil(f, Polynomial(poly_shift_arg(f.coeffs, m), f.ambient))
+    return Pencil(f, shifted)
 
 
 def stabilizing_shift(f: Polynomial, g: Polynomial, d) -> float:
     """A shift N with sep of the line through f(x) and (x+N)g(x) above d.
 
     Requires roots(f) < roots(g) < roots(f)[1] and d below the separation of
-    the line through f and g; found by doubling with re-verification.
+    the line through f and g; found by doubling N, each rung decided by
+    sep_exceeds.  On exact f, g and d, N stays an integer so every rung's
+    line is exact and certified; the result is float(N) either way.
     """
     if not (is_interlaced(f, g) and _lead(f) * _lead(g) * _wronskian_at_zero(f, g) < 0):
         raise DegenerateInput("need roots(f) < roots(g) < roots(f)[1]")
-    base = sep_pencil(Pencil(f, g))
-    if not d < base:
-        raise SepTooSmall(f"d={d} not below sep of the base line {base}")
+    base_line = Pencil(f, g)
+    if not sep_exceeds(base_line, d):
+        raise SepTooSmall(f"d={d} not below sep of the base line {sep_pencil(base_line)}")
     n = f.ambient
     f_up = Polynomial(f.coeffs + (0,), n + 1)
-    npow = 1.0
+    npow = 1 if all_exact(f.coeffs + g.coeffs) and is_exact(d) else 1.0
     for _ in range(SHIFT_BUDGET):
         shifted = Polynomial(poly_mul((npow, 1), g.coeffs), n + 1)
         try:
@@ -745,7 +793,7 @@ def stabilizing_shift(f: Polynomial, g: Polynomial, d) -> float:
         except DegenerateInput:
             npow *= 2
             continue
-        if sep_pencil(line) > d:
-            return npow
+        if sep_exceeds(line, d):
+            return float(npow)
         npow *= 2
     raise SearchBudgetExceeded(f"no N within 2^{SHIFT_BUDGET}; d too close to the supremum")

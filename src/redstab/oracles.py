@@ -97,6 +97,41 @@ def pencil_discriminant_real_roots(f_coeffs, g_coeffs):
     return (sturm_count_real(disc_poly), drop_ok)
 
 
+def _shifted(p, d) -> list:
+    """Coefficients of p(x + d) by the binomial expansion."""
+    return [sum(p[k] * math.comb(k, j) * d ** (k - j) for k in range(j, len(p)))
+            for j in range(len(p))]
+
+
+def member_with_gap(f_coeffs, g_coeffs, d) -> bool:
+    """Whether some member of a real-rooted line has two roots exactly d apart.
+
+    Charts the line at its degree-drop member h as
+    pencil_discriminant_real_roots does: a member f~ + c h has roots x and
+    x + d exactly when it shares a root with its shift by d, so the
+    resultant of the two, interpolated in c, has a real zero; h is checked
+    on its own.  Exact rational input; every member must be real-rooted
+    (then the common roots are real).
+    """
+    f = trim([Fraction(x) for x in f_coeffs])
+    g = trim([Fraction(x) for x in g_coeffs])
+    n = max(len(f), len(g)) - 1
+    f = f + [Fraction(0)] * (n + 1 - len(f))
+    g = g + [Fraction(0)] * (n + 1 - len(g))
+    if f[n] == 0:
+        f, g = g, f
+    h = [y - g[n] / f[n] * x for x, y in zip(f, g)]
+    d = Fraction(d)
+    if sylvester_resultant(h, _shifted(h, d)) == 0:
+        return True
+    xs = list(range(2 * n + 1))
+    ys = []
+    for c in xs:
+        member = [x + c * y for x, y in zip(f, h)]
+        ys.append(sylvester_resultant(member, _shifted(member, d)))
+    return sturm_count_real(lagrange_coeffs(xs, ys)) > 0
+
+
 def oracle_interlaced(f_coeffs, g_coeffs, samples: int = ORACLE_SAMPLES) -> bool:
     """Brute-force pencil membership oracle.
 

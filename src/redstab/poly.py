@@ -110,7 +110,17 @@ def poly_shift_arg(coeffs, m):
             out = poly_add(poly_mul(out, (m, 1)), (c,))
         return out
     ints, den = integer_scaled(coeffs)
-    a, b = m.numerator, m.denominator
+    b = m.denominator
+    acc = _integer_shift(ints, m.numerator, b)
+    d = len(acc) - 1
+    return tuple(Fraction(r, den * b ** (d - j)) for j, r in enumerate(acc))
+
+
+def _integer_shift(ints, a, b) -> list:
+    """Integer coefficients of R(y) = sum N_k b^(d-k) (y + a)^k for N = ints.
+
+    At y = b x, R is b^d times f(x + a / b) for f = sum N_k x^k.
+    """
     acc = [ints[-1]]
     bk = 1
     for n_k in reversed(ints[:-1]):
@@ -118,8 +128,31 @@ def poly_shift_arg(coeffs, m):
         # acc * (y + a) + n_k b^(d-k): coefficient j is acc[j-1] + a acc[j]
         acc = [y + a * x for x, y in zip(acc + [0], [0] + acc)]
         acc[0] += n_k * bk
-    d = len(acc) - 1
-    return tuple(Fraction(r, den * b ** (d - j)) for j, r in enumerate(acc))
+    return acc
+
+
+def _scaled_shift(ints, m) -> list:
+    """Integer coefficients of b^d f(x + m) for f = sum ints[k] x^k and m = a / b."""
+    b = m.denominator
+    return [r * b ** j for j, r in enumerate(_integer_shift(ints, m.numerator, b))]
+
+
+def integer_shift_difference(coeffs, m) -> list:
+    """Integer coefficients of a positive multiple of f(x) - f(x - m), for exact f and m."""
+    ints, _ = integer_scaled(coeffs)
+    bd = m.denominator ** (len(ints) - 1)
+    return [bd * c - r for c, r in zip(ints, _scaled_shift(ints, -m))]
+
+
+def shift_wronskian(f, h, m) -> tuple:
+    """Integer coefficients of a positive multiple of f(x) h(x + m) - f(x + m) h(x).
+
+    For exact f, h of one length and exact m; the multiple is b^d times the
+    common denominators of f and h, for m = a / b and degree bound d.
+    """
+    (fi, _), (hi, _) = integer_scaled(f), integer_scaled(h)
+    return poly_add(poly_mul(fi, _scaled_shift(hi, m)),
+                    poly_scale(poly_mul(_scaled_shift(fi, m), hi), -1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .charge import CentralCharge, ReducedCharge, reduced_charge, split_central
 from .errors import DecompositionFailed, InvalidAmbient, InvariantViolated, SepViolation
-from .exact import coerce
-from .interlace import PLUS_INFINITY, Polynomial, RootTuple, sep_pencil
-from .poly import shift_difference
+from .exact import coerce, integer_scaled
+from .interlace import PLUS_INFINITY, Polynomial, RootTuple, sep_exceeds
+from .poly import integer_shift_difference, shift_difference
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,15 @@ def restrict_charge(Z: CentralCharge, m) -> RestrictedCharge:
     """Composition of an interlaced-cone charge with the section pushforward.
 
     The parts of Z must decompose as c1 B_s + i c2 B_t with s and t
-    interlaced (split_central) and the line's separation above m (sampled
-    check); the composed parts are verified to be
-    c_i m times the charges of the restricted tuples, and DecompositionFailed
-    flags any mismatch beyond tolerance (an internal-consistency alarm).
+    interlaced (split_central) and the line's separation above m
+    (interlace.sep_exceeds: certified on exact Z and m, sampled otherwise).
+    The composed parts are verified to be c_i m times the charges of the
+    restricted tuples, and DecompositionFailed flags a mismatch (an
+    internal-consistency alarm; see _verify_prediction).
     """
     n = Z.ambient
     c1, c2, line = split_central(Z)
-    if not sep_pencil(line) > m:
+    if not sep_exceeds(line, m):
         raise SepViolation(f"sep of the spanned line must exceed {m}")
     matrix = pushforward_matrix(n, m)
     real_c = compose_with_pushforward(Z.real, matrix)
@@ -137,12 +138,33 @@ def restrict_charge(Z: CentralCharge, m) -> RestrictedCharge:
     t_r = xi(line.gen_b.roots(), m)
     scale_real = c1 * m
     scale_imag = c2 * m
-    _verify_prediction(real_c, s_r, scale_real)
-    _verify_prediction(imag_c, t_r, scale_imag)
+    _verify_prediction(real_c, line.gen_a, s_r, m, scale_real)
+    _verify_prediction(imag_c, line.gen_b, t_r, m, scale_imag)
     return RestrictedCharge(CentralCharge(real_c, imag_c), s_r, t_r, scale_real, scale_imag)
 
 
-def _verify_prediction(composed: ReducedCharge, tup: RootTuple, scale):
+def _verify_prediction(composed: ReducedCharge, gen: Polynomial, tup: RootTuple, m, scale):
+    """DecompositionFailed unless composed is scale times the charge of xi of gen's roots.
+
+    That charge is charge_of_poly of the monic p / p_t, where
+    p(x) = f(x) - f(x - m) for the generator f and t is p's degree, so its
+    weight k is sign k! p_k / (t! p_t), with sign -1 when t drops below the
+    ambient n - 1.  On exact input the weights must be equal; they are
+    compared on integers, composed and scale over one denominator.  On float
+    input the restricted tuple tup is rounded, so its charge must match
+    within WEIGHT_MATCH_TOL relative.
+    """
+    if composed.is_exact():
+        p = integer_shift_difference(gen.coeffs, m)
+        t = max(k for k, c in enumerate(p) if c)
+        sign = 1 if t == gen.ambient - 1 else -1
+        (*weights, s), _ = integer_scaled(composed.weights + (scale,))
+        lead = math.factorial(t) * p[t]
+        if any(w * lead != sign * s * math.factorial(k) * p[k] for k, w in enumerate(weights)):
+            raise DecompositionFailed(
+                f"composed part {composed.weights} does not match {scale} * B of "
+                f"the monic f(x) - f(x - {m})")
+        return
     predicted = reduced_charge(tup).scaled(scale)
     ref = max(abs(float(w)) for w in composed.weights) or 1.0
     for a, b in zip(composed.weights, predicted.weights):

@@ -185,6 +185,14 @@ class TestInUn:
                           reduced_charge(RT(F(1, 2), F(4))))
         assert not in_Un(Z, d=10)
 
+    def test_separation_at_a_generator_is_certified(self):
+        # the derivative line of f takes its smallest gap, 1, at f itself;
+        # the sampled separation is 0.9999999999999987
+        f = roots_to_poly(RT(F(0), F(1), F(3)))
+        Z = CentralCharge(charge_of_poly(f.derivative().monic()).scaled(-1), charge_of_poly(f))
+        assert in_Un(Z) and in_Un(Z, 1 - F(1, 2 ** 60))
+        assert not in_Un(Z, F(1))
+
 
 class TestDecompose:
     def test_all_nonneg(self):

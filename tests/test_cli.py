@@ -38,6 +38,13 @@ class TestVerbs:
                               "--g", "[3,-4,1]"])
         assert doc["result"]["interlaced"] is True
 
+    def test_interlace_check_beyond_the_float_range(self):
+        # f's roots 1e-200 and 1e200 both lie between g's roots 0 and +inf
+        code, doc = run_json(["interlace", "check", "--f", '[1,"-1e200",1]',
+                              "--g", "[0,1,0]"])
+        assert code == 0
+        assert doc["result"] == {"interlaced": False}
+
     def test_sep_pencil_flags_uncertified(self):
         code, doc = run_json(["interlace", "sep-pencil", "--f", "[0,-2,1]",
                               "--g", "[3,-4,1]"])

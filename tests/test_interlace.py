@@ -44,12 +44,13 @@ from redstab.interlace import (
     proportional,
     roots_to_poly,
     sep,
+    sep_exceeds,
     sep_pencil,
     shift_pencil,
     stabilizing_shift,
 )
 from redstab.exact import exact_sqrt, integer_scaled
-from redstab.oracles import oracle_interlaced
+from redstab.oracles import member_with_gap, oracle_interlaced
 from redstab.poly import poly_eval, sturm_count_real
 
 
@@ -244,6 +245,15 @@ class TestExactRounding:
                     assert real.roots().entries == want
                 with pytest.raises(ComplexRoots):
                     Polynomial(poly_mul(outer, (a * a + e * e, -2 * a, 1)), 4).roots()
+
+    def test_coefficients_beyond_the_float_range(self):
+        # float(c) and math.sqrt(disc) overflow; the exact route decides alone
+        cases = [((1, -10 ** 200, 1), (1e-200, 1e200)),
+                 ((1, -10 ** 400, 1, 1), (-1e200, 0.0, 1e200))]
+        for coeffs, want in cases:
+            got = Polynomial(coeffs, len(coeffs) - 1).roots().entries
+            assert got == want
+            assert _correctly_rounded(tuple(map(F, coeffs)), got)
 
     def test_tied_rounded_roots_decided_exactly(self):
         # g's first root rounds to f's 1.0 from below, at it, and from above
@@ -545,6 +555,135 @@ class TestShiftAndStabilize:
         base = sep_pencil(Pencil(f, g))
         with pytest.raises(SepTooSmall):
             stabilizing_shift(f, g, base + 0.1)
+
+    def test_exact_shift_bound_decided_by_interlacing(self):
+        # the middle root 1 + 2^-60 rounds to 1.0, so the rounded sep(f) is 1.0
+        f = roots_to_poly(RT(F(0), 1 + F(1, 2 ** 60), F(3)))
+        assert sep(f) == 1.0
+        line = shift_pencil(f, F(1))
+        assert line.gen_b.coeffs == poly_shift_arg(f.coeffs, F(1))
+        with pytest.raises(SepTooSmall, match=r"shift 1152921504606846977/1152921504606846976 "
+                                              r">= sep 1\.0"):
+            shift_pencil(f, 1 + F(1, 2 ** 60))
+        with pytest.raises(SepTooSmall, match=r"^shift 2 >= sep 2$"):
+            shift_pencil(roots_to_poly(RT(F(0), F(2))), F(2))
+
+    def test_exact_stabilizing_shift(self):
+        f = roots_to_poly(RT(F(0), F(2), F(5)))
+        g = roots_to_poly(RT(F(1), F(4), F(6)))
+        for d in (F(1, 2), F(3, 4), F(9, 10)):
+            n_val = stabilizing_shift(f, g, d)
+            assert type(n_val) is float and n_val == stabilizing_shift(f, g, float(d))
+            f_up = Polynomial(f.coeffs + (0,), 4)
+            rung = Pencil(f_up, Polynomial(poly_mul((int(n_val), 1), g.coeffs), 4))
+            assert sep_exceeds(rung, d)
+        base = sep_pencil(Pencil(f, g))
+        with pytest.raises(SepTooSmall, match=f"sep of the base line {base}$"):
+            stabilizing_shift(f, g, F(base) * F(101, 100))
+
+
+def _interlaced_roots(rng, n):
+    """Interlaced quarter-integer tuples s < t < s[1] with gaps of 1/2 to 3."""
+    t = [F(rng.randint(-8, 0), 4)]
+    for _ in range(n - 1):
+        t.append(t[-1] + F(rng.randint(2, 12), 4))
+    lefts = [t[0] - 2] + t[:-1]
+    s = [a + (b - a) * F(rng.randint(1, 7), 8) for a, b in zip(lefts, t)]
+    return RT(*s), RT(*t)
+
+
+def _criterion_lines(seed, count):
+    """The derivative, shift and oriented-sum lines of criteria 2 and 3, on exact input."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        t = [F(rng.randint(-12, 12), 4)]
+        for _ in range(n - 1):
+            t.append(t[-1] + F(2 + rng.randint(0, 11), 4))
+        f = roots_to_poly(RT(*t))
+        s0 = sep(RT(*t))
+        yield Pencil(f, f.derivative())
+        yield shift_pencil(f, s0 * F(rng.randint(1, 9), 10))
+        g = shift_pencil(f, s0 * F(rng.randint(2, 8), 10)).gen_b.scaled(-F(rng.randint(3, 30), 10))
+        if rng.randint(0, 1):
+            h = f.derivative().scaled(-F(rng.randint(3, 30), 10))
+        else:
+            h = shift_pencil(f, s0 * F(rng.randint(2, 8), 10)).gen_b.scaled(
+                -F(rng.randint(3, 30), 10))
+        if not (left_interlaced(f, g) and left_interlaced(f, h)):
+            continue
+        yield Pencil(f, g)
+        yield Pencil(f, h)
+        gh = Polynomial(poly_add(g.coeffs, h.coeffs), n)
+        if gh.is_member() and left_interlaced(f, gh):
+            yield Pencil(f, gh)
+
+
+class TestSepExceeds:
+    """The certified line separation against the resultant oracle and sampling."""
+
+    def test_agrees_with_resultant_oracle(self):
+        rng = random.Random(16)
+        verdicts = []
+        for n in (2, 3, 4):
+            for _ in range(6):
+                s, t = _interlaced_roots(rng, n)
+                line = Pencil(roots_to_poly(s), roots_to_poly(t))
+                sampled = F(sep_pencil(line)).limit_denominator(1000)
+                for d in (sampled * F(9, 10), sampled, sampled * F(11, 10), s.sep(), t.sep()):
+                    want = s.sep() > d and not member_with_gap(line.gen_a.coeffs,
+                                                               line.gen_b.coeffs, d)
+                    assert sep_exceeds(line, d) == want
+                    verdicts.append(want)
+        assert 10 < sum(verdicts) < len(verdicts) - 10
+
+    def test_agrees_with_sampling_on_criterion_lines(self):
+        lines = 0
+        for line in _criterion_lines(2, 12):
+            sampled = F(sep_pencil(line))
+            assert sep_exceeds(line, sampled * F(99, 100))
+            assert not sep_exceeds(line, sampled * F(101, 100))
+            lines += 1
+        assert lines >= 40
+
+    def test_degree_drop_generator(self):
+        for drop, full in ((RT(F(1), F(3), PLUS_INFINITY), RT(F(0), F(2), F(4))),
+                           (RT(F(1, 2), PLUS_INFINITY), RT(F(0), F(3)))):
+            a, b = roots_to_poly(drop), roots_to_poly(full)
+            sampled = F(sep_pencil(Pencil(a, b)))
+            for line in (Pencil(a, b), Pencil(b, a)):
+                for d in (sampled * F(99, 100), sampled * F(101, 100), full.sep()):
+                    want = full.sep() > d and not member_with_gap(a.coeffs, b.coeffs, d)
+                    assert sep_exceeds(line, d) == want
+                    assert want == (d < sampled)
+
+    def test_ambient_one(self):
+        x, one = Polynomial((F(-1), F(1)), 1), Polynomial((F(1), F(0)), 1)
+        for line in (Pencil(x, one), Pencil(one, x)):
+            assert sep_pencil(line) == math.inf
+            assert sep_exceeds(line, F(10 ** 9))
+
+    def test_member_with_gap_exactly_d(self):
+        # p has the gap 1 between its roots 0 and 1; the generators are other members
+        p, q = roots_to_poly(RT(F(0), F(1), F(3))), roots_to_poly(RT(F(1, 2), F(2), F(4)))
+        line = Pencil(Polynomial(poly_add(p.coeffs, q.coeffs), 3),
+                      Polynomial(poly_add(p.coeffs, poly_scale(q.coeffs, 2)), 3))
+        assert member_with_gap(line.gen_a.coeffs, line.gen_b.coeffs, 1)
+        assert not sep_exceeds(line, F(1))
+        # the derivative line of f takes its smallest gap at f itself
+        f = roots_to_poly(RT(F(0), F(1), F(3)))
+        deriv = Pencil(f, f.derivative())
+        assert not sep_exceeds(deriv, F(1))
+        assert sep_exceeds(deriv, 1 - F(1, 2 ** 60))
+
+    def test_float_input_keeps_sampling(self):
+        f = roots_to_poly(RT(0.0, 1.0, 3.0))
+        line = Pencil(f, f.derivative())
+        exact = Pencil(roots_to_poly(RT(F(0), F(1), F(3))), f.derivative())
+        sampled = sep_pencil(line)
+        for d in (0.5, sampled, 1.0, 2.0):
+            assert sep_exceeds(line, d) == (sampled > d)
+            assert sep_exceeds(exact, d) == (sep_pencil(exact) > d)
 
 
 @given(st.data())

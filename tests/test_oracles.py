@@ -10,6 +10,7 @@ from redstab.interlace import (
     roots_to_poly,
 )
 from redstab.oracles import (
+    member_with_gap,
     oracle_interlaced,
     pencil_discriminant_real_roots,
     sign_scan_oracle,
@@ -65,6 +66,20 @@ class TestPencilOracle:
     def test_shared_root_pencil(self):
         # x(x-1)(x+1) and x(x-1)(x-2): double root appears inside the pencil
         assert not oracle_interlaced((0, -1, 0, 1), (0, 2, -3, 1))
+
+
+class TestGapOracle:
+    def test_quadratic_line(self):
+        # x(x - 2) + c(x - 1) has the gap sqrt(c^2 + 4): 2 at c = 0, 3 at c = +-sqrt(5)
+        f, h = (0, -2, 1), (-1, 1, 0)
+        assert member_with_gap(f, h, 2) and member_with_gap(h, f, 3)
+        assert not member_with_gap(f, h, 1) and not member_with_gap(f, h, F(19, 10))
+
+    def test_degree_drop_member(self):
+        # h = x(x - 1) drops degree at ambient 3 and has the gap 1
+        f = roots_to_poly(RootTuple((F(-1, 2), F(1, 2), F(2)))).coeffs
+        h = roots_to_poly(RootTuple((F(0), F(1), PLUS_INFINITY))).coeffs
+        assert member_with_gap(f, h, 1) and member_with_gap(h, f, 1)
 
 
 class TestSignScan:

@@ -14,11 +14,13 @@ import pytest
 from redstab.charge import charge_of_poly
 from redstab.interlace import PLUS_INFINITY, Polynomial, RootTuple, roots_to_poly
 from redstab.poly import (
+    integer_shift_difference,
     lagrange_coeffs,
     poly_from_roots,
     poly_mul,
     poly_shift_arg,
     shift_difference,
+    shift_wronskian,
     sturm_chain,
     sturm_count_real,
     trim,
@@ -136,6 +138,31 @@ class TestShiftArg:
         f = poly_from_roots(roots)
         want = tuple(a - b for a, b in zip(f, poly_shift_arg(f, -0.5)))
         assert _bits(shift_difference(roots, 0.5)) == _bits(want)
+
+
+def _positive_multiple(got, want) -> bool:
+    """got == c * want for one c > 0 (want not all zero)."""
+    k = next(j for j, w in enumerate(want) if w)
+    c = F(got[k]) / want[k]
+    return c > 0 and all(g == c * w for g, w in zip(got, want))
+
+
+class TestIntegerShiftKernels:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_positive_multiples_of_the_fraction_polynomials(self, d):
+        rng = random.Random(400 + d)
+        for _ in range(10):
+            f, h = ([F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(d)]
+                    + [F(rng.randint(1, 9), rng.randint(1, 9))] for _ in range(2))
+            m = F(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 20))
+            diff = [a - b for a, b in zip(f, _ref_shift(f, -m))]
+            got = integer_shift_difference(f, m)
+            assert all(type(c) is int for c in got) and _positive_multiple(got, diff)
+            f_m, h_m = _ref_shift(f, m), _ref_shift(h, m)
+            w = [sum(f[i] * h_m[k - i] - f_m[i] * h[k - i]
+                     for i in range(max(0, k - d), min(k, d) + 1)) for k in range(2 * d + 1)]
+            got = shift_wronskian(f, h, m)
+            assert all(type(c) is int for c in got) and _positive_multiple(got, w)
 
 
 class TestChargeOfPolyFloat:

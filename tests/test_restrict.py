@@ -3,11 +3,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from redstab.charge import CentralCharge, eval_charge, gamma, reduced_charge
+from redstab.charge import (
+    CentralCharge,
+    ReducedCharge,
+    charge_of_poly,
+    eval_charge,
+    gamma,
+    reduced_charge,
+    split_central,
+)
 from redstab.errors import DecompositionFailed, InvalidAmbient, SepViolation
-from redstab.interlace import PLUS_INFINITY, RootTuple
+from redstab.interlace import PLUS_INFINITY, RootTuple, roots_to_poly
 from redstab.restrict import (
     RestrictionSpec,
+    _verify_prediction,
     compose_with_pushforward,
     pushforward_matrix,
     restrict_charge,
@@ -156,6 +165,34 @@ class TestRestrictCharge:
             rhs = float(rc.scale_real) * float(
                 eval_charge(reduced_charge(rc.s), gamma(x, 2)))
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+    def test_exact_prediction_compared_by_equality(self):
+        # xi's roots are irrational in the first pair; t drops degree in the second
+        for s, t in ((RT(F(0), F(2), F(5)), RT(F(1), F(4), F(6))),
+                     (RT(F(-4), F(0), F(4)), RT(F(-2), F(2), PLUS_INFINITY))):
+            Z = CentralCharge(reduced_charge(s).scaled(F(3, 2)), reduced_charge(t))
+            rc = restrict_charge(Z, F(1, 3))
+            line = split_central(Z)[2]
+            for part, gen, tup, scale in ((rc.charge.real, line.gen_a, rc.s, rc.scale_real),
+                                          (rc.charge.imag, line.gen_b, rc.t, rc.scale_imag)):
+                _verify_prediction(part, gen, tup, F(1, 3), scale)
+                for k in range(3):
+                    nudged = list(part.weights)
+                    nudged[k] += F(1, 10 ** 30)
+                    with pytest.raises(DecompositionFailed, match="the monic f"):
+                        _verify_prediction(ReducedCharge(tuple(nudged)), gen, tup, F(1, 3), scale)
+                # on float input the same nudge is within WEIGHT_MATCH_TOL
+                as_float = ReducedCharge(tuple(map(float, nudged)))
+                _verify_prediction(as_float, gen, tup, 1 / 3, float(scale))
+
+    def test_line_separation_at_the_degree_is_certified(self):
+        # the derivative line of f takes its smallest gap, 1, at f itself
+        f = roots_to_poly(RT(F(0), F(1), F(3)))
+        Z = CentralCharge(charge_of_poly(f.derivative().monic()).scaled(-1), charge_of_poly(f))
+        with pytest.raises(SepViolation):
+            restrict_charge(Z, F(1))
+        rc = restrict_charge(Z, 1 - F(1, 2 ** 60))
+        assert rc.scale_imag == 1 - F(1, 2 ** 60)
 
     def test_sep_hypothesis_enforced(self):
         Z = CentralCharge(reduced_charge(RT(F(-1), F(3))),
