@@ -18,7 +18,11 @@ coherent kernel vector and a fixed-beta scan on a mixed one), the
 restriction of an exact interlaced charge, and the cone membership of an
 exact quadratic charge with irrational roots.  The support check is pinned
 twice on one line: its own ``q_tilde`` form passes, and the negated form
-fails with a ``kernel`` record and float ``pairing`` records.
+fails with a ``kernel`` record and float ``pairing`` records.  Three cases pin
+the exact linear algebra: the decomposition of a kernel vector with mixed
+signs (an exact ``solve``), the dual-cone criterion on a rank-3 lattice with a
+hyperbolic block (its signature check by exact ``inertia``), and a numerical
+wall through a rational tuple (``nullspace`` and ``particular_solution``).
 ``tests/test_golden.py`` runs every case in-process and compares the output
 byte for byte; it never writes the files.
 """
@@ -66,6 +70,17 @@ CASES = {
         "quadform", "verify", "--s", '["0","2","4"]', "--t", '["1","3","5"]',
         "--gram", '[["0","0","17/2","-15/2"],["0","-17/2","5/2","3"],'
                   '["17/2","5/2","-4","0"],["-15/2","3","0","0"]]'],
+    "charge_decompose_mixed.json": ["charge", "decompose", "--roots", '["-1","1/2","3"]',
+                                    "--v", '["-9/2","-3","-63/8","-103/16"]'],
+    "geom_ab_negdef_rank3.json": ["geom", "ab-negdef",
+                                  "--gram", '[["0","1","0"],["1","0","0"],["0","0","-2"]]',
+                                  "--v", '["1",["1","1","0"],"1/2"]',
+                                  "--w", '["2",["1","-1","1"],"-5/2"]'],
+    "walls_numerical_rational.json": ["walls", "numerical",
+                                      "--v", '["1/2","-1","-1","-2/3"]',
+                                      "--w", '["7/4","23/4","91/8","407/24"]',
+                                      "--box", "[[-1.0,1.0],[1.0,3.0],[4.0,6.0]]",
+                                      "--samples", "64"],
 }
 
 
