@@ -18,7 +18,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-from . import plots, selftest, serialize, walls
+from . import plots, serialize, walls
 from .charge import CentralCharge, decompose, eval_charge, in_Bn, reduced_charge
 from .errors import RedstabError
 from .geometry import (
@@ -31,6 +31,7 @@ from .geometry import (
     criterion_neg_def,
     criterion_restrict,
     family_equiv_check,
+    params_from_tuples,
     threefold_charge,
     threefold_kernel_tuples,
     validity_iff_interlaced,
@@ -187,8 +188,6 @@ def cmd_geom_threefold(args):
 
 
 def cmd_geom_params(args):
-    from .geometry import params_from_tuples
-
     p = params_from_tuples(_parse_roots(args.roots))
     out = {k: (N2S(v) if v is not None else None)
            for k, v in (("alpha", p.alpha), ("beta", p.beta), ("a", p.a), ("b", p.b))}
@@ -327,6 +326,8 @@ def cmd_restrict_charge(args):
 
 
 def cmd_selftest(args):
+    from . import selftest   # loads the oracles; no other verb needs them
+
     include = None
     if args.criteria:
         include = {int(x) for x in args.criteria.split(",")}

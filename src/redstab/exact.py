@@ -12,21 +12,24 @@ and a float on float data.  A constant that must follow the data joins its
 group, ``*xs, c = coerce(xs + (Fraction(1, 6),))``; ``Fraction(1, 2) * x``
 needs no such step, since a Fraction times a float is a float.
 
-One Gauss-Jordan elimination (``rref``, on integer rows, Fraction output)
-serves ``solve``, ``inv``, ``nullspace``, ``rank`` and
-``particular_solution``.  Determinants are fraction-free Bareiss and inertia
-is congruence diagonalization; float input falls back to numpy with explicit
-tolerances.
+One elimination, ``_eliminate`` (fraction-free Bareiss Gauss-Jordan on
+integer rows), serves all exact linear algebra: ``rref`` and through it
+``solve``, ``inv``, ``nullspace``, ``rank`` and ``particular_solution``; the
+determinant ``bareiss_det`` (its last pivot); ``is_negative_definite`` (the
+pivots of the pass without row swaps, the leading minors); and ``inertia``,
+by Descartes' rule on the characteristic polynomial, which has only real
+roots, with its values from ``bareiss_det`` and its coefficients from
+``solve``.  Float input falls back to numpy with explicit tolerances.
 
 ``integer_scaled`` writes a group of numbers as integers over one common
-denominator.  Exact sums of products (Bareiss and rref rows, exact pairings,
+denominator.  Exact sums of products (eliminated rows, exact pairings,
 kernel restrictions, exact root certification, the kernels of redstab.poly)
 run on those integers and form one Fraction at the end, instead of
 normalizing a Fraction at every step.
 """
 
 from fractions import Fraction
-from math import gcd, inf, isqrt, lcm
+from math import inf, isqrt, lcm
 
 import numpy as np
 
@@ -98,51 +101,69 @@ def exact_sqrt(x):
     return None
 
 
+def _eliminate(m, width, swap=True, carry=None):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of the integer rows m, in place.
+
+    Pivots are sought column by column in the first ``width`` columns; later
+    columns, such as a right-hand side, are carried along.  Yields
+    (col, pivot, sign) for each pivot, which sits in row r, r the number of
+    earlier pivots; sign is the parity of the row swaps so far.  Every other
+    row becomes (pivot * row - row[col] * pivot_row) / prev, prev the previous
+    pivot (1 at first), and the division is exact.  So each pivot is the
+    determinant of the rows and pivot columns so far, and after the last
+    pivot p each pivot row is p times its reduced row and each row past the
+    rank p times the row that elimination over Fractions leaves there.
+
+    With swap, a zero entry at the pivot position trades places with the
+    first later row that has a nonzero one (``carry``, a list, trades places
+    along with the rows), and a column without one is skipped.  Without
+    swap, the pivots are the leading principal minors and a zero pivot ends
+    the elimination.
+    """
+    sign = prev = 1
+    r = 0
+    for col in range(width):
+        if r == len(m):
+            return
+        if swap:
+            piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+            if piv is None:
+                continue
+            if piv != r:
+                m[r], m[piv] = m[piv], m[r]
+                if carry is not None:
+                    carry[r], carry[piv] = carry[piv], carry[r]
+                sign = -sign
+        prow = m[r]
+        pivot = prow[col]
+        yield col, pivot, sign
+        if not pivot:
+            return
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = pivot
+        r += 1
+
+
 def bareiss_det(rows):
-    """Fraction-free Bareiss determinant.
+    """Fraction-free Bareiss determinant: the last pivot of ``_eliminate``.
 
     Rows are scaled to integers first (tracking the scaling), so the
     elimination itself runs on ints with exact divisions.
     """
-    if len(rows) == 0:
-        return Fraction(1)
+    n = len(rows)
     scale = 1
     m = []
     for row in rows:
         ints, den = integer_scaled(row)
         scale *= den
         m.append(ints)
-    for pivot, sign in _bareiss_pivots(m, swap=True):
+    rank, pivot, sign = 0, 1, 1
+    for rank, (_, pivot, sign) in enumerate(_eliminate(m, n), start=1):
         pass
-    return Fraction(sign * pivot, scale)
-
-
-def _bareiss_pivots(m, swap):
-    """Fraction-free Bareiss elimination of the integer square matrix m, in place.
-
-    Yields (pivot, sign) for k = 0, 1, ...: pivot is the determinant of the
-    leading (k+1)-block of m with its rows swapped so far, sign the parity of
-    those swaps.  Without swap the pivots are the leading principal minors of
-    m.  With swap a zero pivot first trades places with the first later row
-    that has a nonzero entry in its column.  A zero pivot ends the elimination.
-    """
-    n = len(m)
-    sign = prev = 1
-    for k in range(n):
-        if swap and m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-        pivot = m[k][k]
-        yield pivot, sign
-        if pivot == 0:
-            return
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
+    return Fraction(sign * pivot, scale) if rank == n else _ZERO
 
 
 def det(rows):
@@ -157,46 +178,26 @@ def rref(rows, width=None):
 
     Pivots are sought in the first ``width`` columns (all of them by
     default); further columns, such as a right-hand side, are carried along.
-    Each row is scaled to integers once (integer_scaled), updated
-    fraction-free as pivot * row - row[col] * pivot_row and divided by the
-    gcd of its entries.  A row keeps the factor num / den back to its value
-    under elimination over Fractions, so the result is that elimination's,
-    rows past the rank included.
+    Each row is scaled to integers over its own denominator (integer_scaled)
+    and ``_eliminate`` runs on them.  After its last pivot p, a pivot row is
+    p times its reduced row, and a row past the rank p * den times the row
+    elimination over Fractions leaves there, so one division per entry gives
+    that elimination's result, rows past the rank included.
     """
-    m, num, den = [], [], []
+    m, den = [], []
     for row in rows:
         ints, d = integer_scaled(row)
         m.append(ints)
-        num.append(1)
         den.append(d)
     if width is None:
         width = len(m[0]) if m else 0
-    pivots = []
-    for col in range(width):
-        r = len(pivots)
-        if r == len(m):
-            break
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        for lst in (m, num, den):
-            lst[r], lst[piv] = lst[piv], lst[r]
-        prow = m[r]
-        pv = prow[col]
-        for i, row in enumerate(m):
-            f = row[col]
-            if i == r or not f:
-                continue
-            row = [pv * x - f * y for x, y in zip(row, prow)]
-            g = gcd(*row) or 1
-            m[i] = [x // g for x in row] if g > 1 else row
-            num[i] *= g
-            den[i] *= pv
+    pivots, p = [], 1
+    for col, p, _ in _eliminate(m, width, carry=den):
         pivots.append(col)
     rank = len(pivots)
-    out = [[Fraction(x, row[col]) if x else _ZERO for x in row] for row, col in zip(m, pivots)]
-    out += [[Fraction(x * p, q) if x else _ZERO for x in row]
-            for row, p, q in zip(m[rank:], num[rank:], den[rank:])]
+    out = [[Fraction(x, p) if x else _ZERO for x in row] for row in m[:rank]]
+    out += [[Fraction(x, p * d) if x else _ZERO for x in row]
+            for row, d in zip(m[rank:], den[rank:])]
     return out, pivots
 
 
@@ -254,11 +255,6 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def leading_principal_minors(gram):
-    n = len(gram)
-    return [det([row[: k + 1] for row in gram[: k + 1]]) for k in range(n)]
-
-
 def is_negative_definite(gram):
     """Strict negative definiteness of a symmetric matrix.
 
@@ -266,19 +262,17 @@ def is_negative_definite(gram):
     eigenvalue fallback with margin for float input.  The empty matrix is
     negative definite by convention.
 
-    The exact test is one Bareiss pass without row swaps over the rows
-    scaled to integers (_bareiss_pivots): the k-th pivot is the k-th leading
-    minor times the (positive) row scales, so it has the minor's sign, and the
-    pass stops at the first pivot of the wrong sign.
+    The exact test is one ``_eliminate`` pass without row swaps over the rows
+    scaled to integers: the k-th pivot is the k-th leading minor times the
+    (positive) row scales, so it has the minor's sign, and the pass stops at
+    the first pivot of the wrong sign.
     """
     if len(gram) == 0:
         return True
     if all(all_exact(row) for row in gram):
         m = [integer_scaled(row)[0] for row in gram]
-        for k, (pivot, _) in enumerate(_bareiss_pivots(m, swap=False)):
-            if (pivot if k % 2 else -pivot) <= 0:
-                return False
-        return True
+        return all((pivot if k % 2 else -pivot) > 0
+                   for k, (_, pivot, _) in enumerate(_eliminate(m, len(m), swap=False)))
     w = np.linalg.eigvalsh(np.array(gram, dtype=float))
     scale = max(1.0, float(np.max(np.abs(w))))
     return bool(np.all(w < -FLOAT_EIG_MARGIN * scale))
@@ -287,8 +281,12 @@ def is_negative_definite(gram):
 def inertia(gram):
     """Inertia (n_pos, n_neg, n_zero) of a symmetric matrix.
 
-    Exact congruence diagonalization over Fractions when the input is
-    rational; numpy eigenvalues with a relative margin otherwise.
+    On rational input, Descartes' rule on chi(x) = det(x I - G): its values
+    at x = 0..n are Bareiss determinants and its coefficients solve the
+    Vandermonde system.  chi has only real roots, so its coefficient sign
+    changes count the positive eigenvalues and the index of its lowest
+    nonzero coefficient counts the zero eigenvalues.  Float input uses numpy
+    eigenvalues with a relative margin.
     """
     n = len(gram)
     if n == 0:
@@ -299,37 +297,10 @@ def inertia(gram):
         pos = int(np.sum(w > FLOAT_EIG_MARGIN * scale))
         neg = int(np.sum(w < -FLOAT_EIG_MARGIN * scale))
         return (pos, neg, n - pos - neg)
-    m = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = 0
-    idx = list(range(n))
-    for _ in range(n):
-        if not idx:
-            break
-        # symmetric pivoting: prefer a nonzero diagonal entry
-        p = next((i for i in idx if m[i][i] != 0), None)
-        if p is None:
-            # all remaining diagonal zero; find an off-diagonal pair
-            pair = next(((i, j) for i in idx for j in idx if j > i and m[i][j] != 0), None)
-            if pair is None:
-                break
-            i, j = pair
-            # congruence: add row/col j into i, producing 2*m[i][j] on the diagonal
-            for c in range(n):
-                m[i][c] += m[j][c]
-            for r in range(n):
-                m[r][i] += m[r][j]
-            p = i
-        d = m[p][p]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        idx.remove(p)
-        for i in idx:
-            if m[i][p] != 0:
-                f = m[i][p] / d
-                for c in range(n):
-                    m[i][c] -= f * m[p][c]
-                for r in range(n):
-                    m[r][i] -= f * m[r][p]
-    return (pos, neg, n - pos - neg)
+    values = [bareiss_det([[(x if i == j else 0) - g for j, g in enumerate(row)]
+                           for i, row in enumerate(gram)]) for x in range(n + 1)]
+    chi = solve([[x ** k for k in range(n + 1)] for x in range(n + 1)], values)
+    zero = next(k for k, c in enumerate(chi) if c)
+    signs = [c > 0 for c in chi[zero:] if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return (pos, n - pos - zero, zero)

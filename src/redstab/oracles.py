@@ -9,7 +9,8 @@ cofactor charge expands the defining Vandermonde determinant minor by minor;
 the kernel-sign scan only evaluates charges on a corner family with
 sign-change bisection; the pointwise support check evaluates Q(gamma(t)) at
 every grid point and pairs member by member with the scalar loop, extracting
-roots on every call.
+roots on every call; the congruence inertia diagonalizes over Fractions
+instead of reading the characteristic polynomial.
 """
 
 import math
@@ -183,6 +184,53 @@ def reduced_charge_cofactors(t) -> ReducedCharge:
         sign = -1 if (n + k) % 2 else 1
         weights.append(sign * c_t * cof)
     return ReducedCharge(tuple(weights))
+
+
+# ---------------------------------------------------------------------------
+# congruence inertia
+
+
+def inertia_congruence(gram):
+    """Inertia (n_pos, n_neg, n_zero) of a rational symmetric matrix.
+
+    Congruence diagonalization over Fractions: a nonzero diagonal pivot
+    where there is one, else an off-diagonal pair folded onto the diagonal.
+    """
+    n = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = 0
+    idx = list(range(n))
+    for _ in range(n):
+        if not idx:
+            break
+        # symmetric pivoting: prefer a nonzero diagonal entry
+        p = next((i for i in idx if m[i][i] != 0), None)
+        if p is None:
+            # all remaining diagonal zero; find an off-diagonal pair
+            pair = next(((i, j) for i in idx for j in idx if j > i and m[i][j] != 0), None)
+            if pair is None:
+                break
+            i, j = pair
+            # congruence: add row/col j into i, producing 2*m[i][j] on the diagonal
+            for c in range(n):
+                m[i][c] += m[j][c]
+            for r in range(n):
+                m[r][i] += m[r][j]
+            p = i
+        d = m[p][p]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        idx.remove(p)
+        for i in idx:
+            if m[i][p] != 0:
+                f = m[i][p] / d
+                for c in range(n):
+                    m[i][c] -= f * m[p][c]
+                for r in range(n):
+                    m[r][i] -= f * m[r][p]
+    return (pos, neg, n - pos - neg)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from .exact import (
     is_negative_definite,
     mat_mul,
     nullspace,
-    rank,
+    rref,
 )
 from .interlace import (
     PLUS_INFINITY,
@@ -740,17 +740,19 @@ def _transpose(m):
 
 
 def _complete_basis(rows, width):
-    """Complete independent rows to an invertible matrix with standard vectors."""
-    basis = [[Fraction(x) for x in row] for row in rows]
-    if rank(basis, width) != len(rows):
+    """Complete independent rows to an invertible matrix with standard vectors.
+
+    The candidates are the columns of one ``rref``: the rows, then
+    e_0..e_(width-1); its pivot columns are the first independent ones.
+    """
+    k = len(rows)
+    cols = [[row[i] for row in rows] + [int(i == j) for j in range(width)]
+            for i in range(width)]
+    pivots = rref(cols)[1]
+    if pivots[:k] != list(range(k)):
         return None
-    for k in range(width):
-        e = [Fraction(int(i == k)) for i in range(width)]
-        if rank(basis + [e], width) > len(basis):
-            basis.append(e)
-        if len(basis) == width:
-            break
-    return basis
+    return ([[Fraction(x) for x in row] for row in rows]
+            + [[Fraction(int(i == c - k)) for i in range(width)] for c in pivots[k:]])
 
 
 def _model_cone_parameters(g_hat, rho):
@@ -758,14 +760,12 @@ def _model_cone_parameters(g_hat, rho):
 
     The model's negative block spans the adapted coordinates 2..rho-1 (the
     kernel of h and f1), where Q is negative definite by hypothesis; mu is
-    shrunk until -C - mu I is strictly positive definite there.
+    shrunk until C + mu I is strictly negative definite there.
     """
     mu = Fraction(1)
     for _ in range(200):
-        shifted = [[-g_hat[i][j] - (mu if i == j else 0)
-                    for j in range(2, rho)] for i in range(2, rho)]
-        p, n, z = inertia(shifted)
-        if n == 0 and z == 0:
+        if is_negative_definite([[g_hat[i][j] + (mu if i == j else 0)
+                                  for j in range(2, rho)] for i in range(2, rho)]):
             break
         mu /= 2
     else:

@@ -1,6 +1,11 @@
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -207,6 +212,44 @@ class TestSelftest:
         doc = json.loads(a[1])
         assert doc["result"]["all_pass"] is True
         assert "seconds" not in json.dumps(doc)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _span_target_modules():
+    spec = importlib.util.spec_from_file_location("spans", _ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {f"redstab.{module}" for module, _ in spans.TARGETS}
+
+
+_LOADED_AFTER = """import json, sys
+from redstab.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+class TestColdImports:
+    """A fresh interpreter loads the verification harness only for ``selftest``."""
+
+    @pytest.mark.parametrize("argv", (
+        ["walls", "hilb", "--m", "1"],
+        ["charge", "eval", "--roots", '["0","2"]', "--v", '["0","0","1"]'],
+    ))
+    def test_verbs_leave_selftest_and_oracles_unloaded(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(_ROOT / "src")] + [x for x in (env.get("PYTHONPATH"),) if x])
+        proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert not {"redstab.selftest", "redstab.oracles"} & loaded
+        # the benchmark's span tracer and import timer need these loaded
+        assert {"numpy"} | _span_target_modules() <= loaded
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from redstab.exact import (
     inertia,
     inv,
     is_negative_definite,
-    leading_principal_minors,
     nullspace,
     particular_solution,
     rank,
@@ -23,7 +22,22 @@ from redstab.exact import (
 )
 from redstab.errors import SingularForm
 from redstab.geometry import ThreefoldParams, threefold_charge
+from redstab.oracles import inertia_congruence
 from redstab.restrict import pushforward_matrix
+
+
+def _leibniz(m):
+    """Determinant as the exact Leibniz sum over permutations."""
+    n = len(m)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += sign * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def _leading_minors(g):
+    return [_leibniz([row[:k] for row in g[:k]]) for k in range(1, len(g) + 1)]
 
 
 class TestBareiss:
@@ -44,13 +58,6 @@ class TestBareiss:
 
     def test_row_swaps_equal_leibniz(self):
         # zero pivots force row swaps; the exact Leibniz sum is the reference
-        def leibniz(m):
-            n = len(m)
-            total = F(0)
-            for perm in itertools.permutations(range(n)):
-                sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-                total += sign * math.prod(m[i][perm[i]] for i in range(n))
-            return total
         assert bareiss_det([[0, 1], [1, 0]]) == -1
         assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
         assert bareiss_det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == -10
@@ -60,7 +67,7 @@ class TestBareiss:
             n = rng.randint(1, 5)
             m = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
                   for _ in range(n)] for _ in range(n)]
-            assert bareiss_det(m) == leibniz(m)
+            assert bareiss_det(m) == _leibniz(m)
 
 
 class TestSolveNullspaceInv:
@@ -252,12 +259,13 @@ class TestInertia:
     def test_negative_definite_minors(self):
         g = [[F(-2), F(1)], [F(1), F(-3)]]
         assert is_negative_definite(g)
-        assert leading_principal_minors(g) == [-2, 5]
+        assert _leading_minors(g) == [-2, 5]
         assert not is_negative_definite([[F(-1), F(2)], [F(2), F(-1)]])
         assert is_negative_definite([])
 
     def test_negative_definite_equals_minor_signs(self):
-        # the one-pass Bareiss test against the sign rule on every leading minor
+        # the one-pass elimination against the sign rule on every leading
+        # minor, taken from the Leibniz sum rather than the shared elimination
         rng = random.Random(14)
         verdicts = set()
         for _ in range(600):
@@ -271,7 +279,7 @@ class TestInertia:
                 k = rng.randrange(n)
                 g[k][k] = F(0)
             want = all((m if k % 2 == 0 else -m) > 0
-                       for k, m in enumerate(leading_principal_minors(g), start=1))
+                       for k, m in enumerate(_leading_minors(g), start=1))
             assert is_negative_definite(g) == want
             verdicts.add(want)
         assert verdicts == {False, True}
@@ -302,6 +310,53 @@ class TestInertia:
             pos = int(np.sum(eigs > 1e-9 * scale))
             neg = int(np.sum(eigs < -1e-9 * scale))
             assert inertia(g) == (pos, neg, n - pos - neg)
+
+    def test_equals_congruence_oracle(self):
+        # Descartes' rule on the characteristic polynomial against congruence
+        # diagonalization over Fractions, on five shapes of rational matrices
+        rng = random.Random(17)
+
+        def symmetric(n, entry):
+            g = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = entry(i, j)
+            return g
+
+        def low_rank(n):
+            k = rng.randint(0, n - 1)
+            vecs = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(k)]
+            w = [F(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6), rng.randint(1, 9))
+                 for _ in range(k)]
+            return [[sum(c * v[i] * v[j] for c, v in zip(w, vecs)) for j in range(n)]
+                    for i in range(n)]
+
+        def hyperbolic(n):
+            return symmetric(n, lambda i, j: F(0) if i == j or rng.random() < 0.4
+                             else F(rng.randint(-5, 5), rng.randint(1, 4)))
+
+        def scalar(n):
+            c = F(rng.randint(-3, 3), rng.randint(1, 5))
+            return [[c if i == j else F(0) for j in range(n)] for i in range(n)]
+
+        def wide_range(n):
+            return symmetric(n, lambda i, j: rng.choice((-1, 1)) * F(10) ** rng.randint(-30, 30)
+                             * F(rng.randint(1, 9), rng.randint(1, 9)))
+
+        def sparse_random(n):
+            return symmetric(n, lambda i, j: F(0) if rng.random() < 0.5
+                             else F(rng.randint(-9, 9), rng.randint(1, 7)))
+
+        shapes = (low_rank, hyperbolic, scalar, wide_range, sparse_random)
+        seen = set()
+        for trial in range(2000):
+            n = 1 + trial % 8
+            g = shapes[trial % 5](n)
+            want = inertia_congruence(g)
+            assert inertia(g) == want, g
+            seen.add(want)
+        assert len(seen) > 60
 
 
 class TestExactSqrt:
