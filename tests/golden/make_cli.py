@@ -23,6 +23,9 @@ the exact linear algebra: the decomposition of a kernel vector with mixed
 signs (an exact ``solve``), the dual-cone criterion on a rank-3 lattice with a
 hyperbolic block (its signature check by exact ``inertia``), and a numerical
 wall through a rational tuple (``nullspace`` and ``particular_solution``).
+Two cases sit a power of two away from a tie: the cone membership at d = 1
+of the exact charge of (0, 1 + 2^-60, 3), whose roots round to (0, 1, 3),
+and the slice validity at a = 8/3 + 2^-62 on the boundary alpha^2 / 6 = 8/3.
 ``tests/test_golden.py`` runs every case in-process and compares the output
 byte for byte; it never writes the files.
 """
@@ -81,6 +84,13 @@ CASES = {
                                       "--w", '["7/4","23/4","91/8","407/24"]',
                                       "--box", "[[-1.0,1.0],[1.0,3.0],[4.0,6.0]]",
                                       "--samples", "64"],
+    "charge_in_bn_near_tie.json": [
+        "charge", "in-bn", "--d", "1", "--weights",
+        '["0","1152921504606846977/2305843009213693952",'
+        '"-4611686018427387905/3458764513820540928","1"]'],
+    "geom_validity_near_boundary.json": ["geom", "validity", "--alpha", "4", "--beta", "1/4",
+                                         "--a", "36893488147419103235/13835058055282163712",
+                                         "--b", "0"],
 }
 
 

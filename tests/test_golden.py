@@ -33,3 +33,7 @@ _CLI = _script("make_cli")
 @pytest.mark.parametrize("name", sorted(_CLI.CASES))
 def test_cli_output(name):
     assert _CLI.render(_CLI.CASES[name]) == (_CLI.DIR / name).read_text()
+
+
+def test_every_cli_golden_has_a_case():
+    assert sorted(p.name for p in _CLI.DIR.iterdir()) == sorted(_CLI.CASES)
