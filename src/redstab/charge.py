@@ -28,12 +28,13 @@ from .errors import (
     InKernelOfLine,
     NotInKernel,
 )
-from .exact import all_exact, coerce, integer_scaled, solve
+from .exact import all_exact, coerce, integer_scaled, is_exact, solve
 from .interlace import (
     PLUS_INFINITY,
     Pencil,
     Polynomial,
     RootTuple,
+    gaps_exceed,
     roots_to_poly,
     sep_exceeds,
 )
@@ -159,10 +160,12 @@ def in_Bn(B: ReducedCharge, d=0):
     """Membership of B in the cone of scaled charges with separation above d.
 
     Returns (c, t) with c > 0 and B = c * B_t, or None: None covers complex
-    or repeated roots, a nonpositive scale, and sep(t) <= d.
+    or repeated roots, a nonpositive scale, and sep(t) <= d, which is certified
+    on exact B and d (interlace.gaps_exceed) and rounded on float input.
     """
     dec = _scaled_member(B)
-    if dec is None or not dec[1].roots().sep() > d:
+    if dec is None or d > 0 and not (gaps_exceed(dec[1], d) if B.is_exact() and is_exact(d)
+                                     else dec[1].roots().sep() > d):
         return None
     return dec[0], dec[1].roots()
 

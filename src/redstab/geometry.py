@@ -35,7 +35,7 @@ from .errors import (
     WrongSignature,
 )
 from .exact import coerce, exact_sqrt, inertia, is_exact
-from .interlace import PLUS_INFINITY, RootTuple
+from .interlace import PLUS_INFINITY, RootTuple, poly_eval
 
 K_GRID_MARGIN = Fraction(1, 1000)  # relative inset from the K-interval ends
 
@@ -176,19 +176,15 @@ def max_alpha(a, b):
 def validity_iff_interlaced(p: ThreefoldParams):
     """Pair (validity inequality holds, kernel tuples strictly interlaced).
 
-    The second entry is computed through the generic tuple machinery on the
-    extracted kernel roots (exactly when the discriminant has a rational
-    square root), so agreement with the first is a genuine cross-check of
-    the equivalence chain.
+    In y = x - beta the real kernel cubic is P(y) = y^3 - 3b y^2 - 6a y and
+    the imaginary kernel tuple is (-alpha, alpha, +inf); they interlace
+    exactly when P(-alpha) > 0 > P(alpha), read here exactly on exact input.
+    As P(-+alpha) = +-alpha (6a - alpha^2 -+ 3b alpha), that is the inequality.
     """
     if not p.is_complete or not p.alpha > 0:
         raise InvalidParams("need complete parameters with alpha > 0")
-    valid = p.is_valid
-    real_t, imag_t = threefold_kernel_tuples(p)
-    if real_t is None or imag_t is None:
-        return (valid, False)
-    interlaced = real_t < imag_t and imag_t.lt_shift(real_t)
-    return (valid, interlaced)
+    cubic = (0, -6 * p.a, -3 * p.b, 1)
+    return (p.is_valid, poly_eval(cubic, -p.alpha) > 0 > poly_eval(cubic, p.alpha))
 
 
 @dataclass

@@ -32,9 +32,10 @@ fails, a gcd and Sturm count decide and Sturm bisection isolates the roots
 Wronskian f'g - fg' decides it where their roots share a float.  The
 Wronskian of interlaced members has no real zero, so its value at 0,
 f_1 g_0 - f_0 g_1, fixes their orientation (left_interlaced, _lead).
-Its finite difference f(x) h(x + d) - f(x + d) h(x) certifies on exact input
-that every member of a line has its gaps above d (sep_exceeds), which gates
-in_Un, restrict_charge and stabilizing_shift; sep_pencil samples the line.
+Its finite difference f(x) h(x + d) - f(x + d) h(x), with one member's
+interlacing with f(x + d) (gaps_exceed), certifies on exact input that every
+member of a line has its gaps above d (sep_exceeds), which gates in_Un,
+restrict_charge and stabilizing_shift; sep_pencil samples the line.
 """
 
 import math
@@ -117,9 +118,6 @@ class RootTuple:
         if len(fin) < 2:
             return PLUS_INFINITY
         return min(b - a for a, b in zip(fin, fin[1:]))
-
-    def shifted(self, a) -> "RootTuple":
-        return RootTuple(tuple(t + a if t != PLUS_INFINITY else t for t in self.entries))
 
     def __lt__(self, other: "RootTuple") -> bool:
         """s < t: s_i < t_i for all i (finite values are < +inf)."""
@@ -662,25 +660,37 @@ def member_with_root(l: Pencil, r) -> Polynomial:
 def sep_exceeds(l: Pencil, d) -> bool:
     """Whether every member of the line has all root gaps above d.
 
-    On a strict exact line with an exact d > 0 the verdict is certified.
-    With f a full-degree generator and h the other one, it holds exactly
-    when (i) f and f(x + d) interlace, so that f's gaps exceed d, and (ii)
-    W_d(x) = f(x) h(x + d) - f(x + d) h(x) has no real zero.  A real zero x
-    of W_d is a member with the roots x and x + d, and the smallest gap of a
-    member is continuous along the line, so a member with a gap at most d
-    next to f forces a member with a gap of exactly d.  At ambient 1 there
-    are no gaps and (i) is vacuous.  Any other input keeps the sampled
-    sep_pencil(l) > d.
+    On a strict exact line with an exact d > 0 the verdict is certified: with
+    f a full-degree generator and h the other one, it holds exactly when f's
+    gaps exceed d (gaps_exceed) and W_d(x) = f(x) h(x + d) - f(x + d) h(x)
+    has no real zero.  A real zero x of W_d is a member with the roots x and
+    x + d, and the smallest gap of a member is continuous along the line, so
+    a member with a gap at most d next to f forces one with a gap of exactly
+    d.  Any other input keeps the sampled sep_pencil(l) > d.
     """
     f, h = l.gen_a, l.gen_b
     if not (l.strict and is_exact(d) and d > 0 and all_exact(f.coeffs + h.coeffs)):
         return sep_pencil(l) > d
     if f.degree < f.ambient:    # a strict line has at most one degree-drop member
         f, h = h, f
-    f_d = Polynomial(poly_shift_arg(f.coeffs, d), f.ambient)
-    if f.ambient > 1 and not is_interlaced(f, f_d):
+    return gaps_exceed(f, d) and sturm_count_real(shift_wronskian(f.coeffs, h.coeffs, d)) == 0
+
+
+def gaps_exceed(f: Polynomial, d) -> bool:
+    """Whether every gap between the roots of the member f exceeds d > 0.
+
+    It does exactly when shift_pencil(f, d) exists, certified on exact f and
+    d.  A degree-drop f is tested one ambient lower; below two roots no gap.
+    """
+    if f.degree < 2:
+        return True
+    if f.degree < f.ambient:
+        f = Polynomial(f.coeffs[: f.ambient], f.degree)
+    try:
+        shift_pencil(f, d)
+    except SepTooSmall:
         return False
-    return sturm_count_real(shift_wronskian(f.coeffs, h.coeffs, d)) == 0
+    return True
 
 
 def sep_pencil(l: Pencil, angles: int = SEP_ANGLES) -> float:
@@ -754,20 +764,23 @@ def _golden_min(fn, lo, hi, tol):
 def shift_pencil(f: Polynomial, m) -> Pencil:
     """The line through f(x) and f(x + m); requires 0 < m < sep(f).
 
-    On exact f and m the line's interlacing certificate decides the bound
-    (the roots r_i - m of f(x + m) alternate with the r_i exactly when every
-    gap exceeds m); on float input the rounded sep(f) does.  Both raise
-    SepTooSmall.
+    The roots r_i - m of f(x + m) alternate with the r_i exactly when every
+    gap exceeds m, and a gap equal to m is a common root.  So on exact f and
+    m the line's own interlacing certificate decides the bound; on float
+    input the rounded sep(f) decides first.  Both raise SepTooSmall.
     """
     if f.degree != f.ambient:
         raise ValueError("shift pencil needs a full-degree member")
     if not 0 < m:
         raise SepTooSmall("shift must be positive")
-    shifted = Polynomial(poly_shift_arg(f.coeffs, m), f.ambient)
     exact = all_exact(f.coeffs) and is_exact(m)
-    if not (is_interlaced(f, shifted) if exact else m < sep(f)):
-        raise SepTooSmall(f"shift {m} >= sep {sep(f)}")
-    return Pencil(f, shifted)
+    if exact or m < sep(f):
+        try:
+            return Pencil(f, Polynomial(poly_shift_arg(f.coeffs, m), f.ambient))
+        except DegenerateInput:
+            if not exact:
+                raise
+    raise SepTooSmall(f"shift {m} >= sep {sep(f)}")
 
 
 def stabilizing_shift(f: Polynomial, g: Polynomial, d) -> float:

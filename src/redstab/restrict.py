@@ -5,8 +5,8 @@ the difference polynomial prod(x - t_i) - prod(x - t_i - m); the separation
 hypothesis sep(t) > m makes the two products interlace, so the image lands
 one ambient lower with separation still above m.  On charges the same move
 is composition with the pushforward matrix M (M gamma_(n-1)(x) = gamma_n(x)
-- gamma_n(x - m)), and the composed parts are exactly m times the charges of
-the restricted tuples.
+- gamma_n(x - m)); the composed parts are m times the charges of the
+restricted members f(x) - f(x - m) of the line's generators f.
 
 The map is onto the separation-above-m tuples one ambient lower only for
 small ambients (up to 4); no inverse or section is provided here, and none
@@ -16,9 +16,9 @@ is known to be numerically stable.
 import math
 from dataclasses import dataclass
 
-from .charge import CentralCharge, ReducedCharge, reduced_charge, split_central
-from .errors import DecompositionFailed, InvalidAmbient, InvariantViolated, SepViolation
-from .exact import coerce, integer_scaled
+from .charge import CentralCharge, ReducedCharge, charge_of_poly, split_central
+from .errors import DecompositionFailed, InvalidAmbient, SepViolation
+from .exact import all_exact, coerce, is_exact
 from .interlace import PLUS_INFINITY, Polynomial, RootTuple, sep_exceeds
 from .poly import integer_shift_difference, shift_difference
 
@@ -50,20 +50,10 @@ def xi(t, m) -> RootTuple:
     if not t.sep() > m:
         raise SepViolation(f"sep(t) = {t.sep()} must exceed m = {m}")
     fin = t.finite
-    if not fin:
-        raise SepViolation("no finite entries to restrict")
-    diff = shift_difference(fin, m)
-    k = len(fin)
-    # difference of monic degree-k polynomials: degree exactly k-1
-    if diff[k] != 0:
-        raise InvariantViolated("f(x) - f(x - m) keeps a degree-k term")
-    if k == 1:
-        roots = ()
-    else:
-        roots = Polynomial(diff[:k], k - 1).roots().entries
-    if t.has_infinity:
-        return RootTuple(tuple(roots) + (PLUS_INFINITY,))
-    return RootTuple(tuple(roots))
+    diff, k = shift_difference(fin, m), len(fin)
+    # a difference of monic degree-k polynomials: degree exactly k - 1
+    roots = Polynomial(diff[:k], k - 1).roots().entries if k > 1 else ()
+    return RootTuple(roots + (PLUS_INFINITY,) * t.has_infinity)
 
 
 def xi_multi(t, spec) -> RootTuple:
@@ -123,52 +113,50 @@ def restrict_charge(Z: CentralCharge, m) -> RestrictedCharge:
     The parts of Z must decompose as c1 B_s + i c2 B_t with s and t
     interlaced (split_central) and the line's separation above m
     (interlace.sep_exceeds: certified on exact Z and m, sampled otherwise).
-    The composed parts are verified to be c_i m times the charges of the
-    restricted tuples, and DecompositionFailed flags a mismatch (an
-    internal-consistency alarm; see _verify_prediction).
+    The restricted tuples are the roots of the generators' restricted
+    members; DecompositionFailed flags composed parts other than c_i m times
+    their charges (an internal-consistency alarm; see _verify_prediction).
     """
-    n = Z.ambient
+    if Z.ambient < 2:
+        raise InvalidAmbient("restriction needs ambient >= 2")
     c1, c2, line = split_central(Z)
     if not sep_exceeds(line, m):
         raise SepViolation(f"sep of the spanned line must exceed {m}")
-    matrix = pushforward_matrix(n, m)
-    real_c = compose_with_pushforward(Z.real, matrix)
-    imag_c = compose_with_pushforward(Z.imag, matrix)
-    s_r = xi(line.gen_a.roots(), m)
-    t_r = xi(line.gen_b.roots(), m)
-    scale_real = c1 * m
-    scale_imag = c2 * m
-    _verify_prediction(real_c, line.gen_a, s_r, m, scale_real)
-    _verify_prediction(imag_c, line.gen_b, t_r, m, scale_imag)
-    return RestrictedCharge(CentralCharge(real_c, imag_c), s_r, t_r, scale_real, scale_imag)
+    matrix = pushforward_matrix(Z.ambient, m)
+    parts = []
+    for B, gen, c in ((Z.real, line.gen_a, c1), (Z.imag, line.gen_b, c2)):
+        composed, member = compose_with_pushforward(B, matrix), _restricted_member(gen, m)
+        _verify_prediction(composed, member, c * m)
+        parts.append((composed, member.roots()))
+    (real_c, s_r), (imag_c, t_r) = parts
+    return RestrictedCharge(CentralCharge(real_c, imag_c), s_r, t_r, c1 * m, c2 * m)
 
 
-def _verify_prediction(composed: ReducedCharge, gen: Polynomial, tup: RootTuple, m, scale):
-    """DecompositionFailed unless composed is scale times the charge of xi of gen's roots.
+def _restricted_member(f: Polynomial, m) -> Polynomial:
+    """The monic f(x) - f(x - m) at ambient n - 1.
 
-    That charge is charge_of_poly of the monic p / p_t, where
-    p(x) = f(x) - f(x - m) for the generator f and t is p's degree, so its
-    weight k is sign k! p_k / (t! p_t), with sign -1 when t drops below the
-    ambient n - 1.  On exact input the weights must be equal; they are
-    compared on integers, composed and scale over one denominator.  On float
-    input the restricted tuple tup is rounded, so its charge must match
-    within WEIGHT_MATCH_TOL relative.
+    On exact f and m it comes from integers (poly.integer_shift_difference);
+    on float input coefficient j is -sum_(k > j) f_k C(k, j) (-m)^(k - j),
+    free of the cancellation in f(x) - f(x - m).
     """
-    if composed.is_exact():
-        p = integer_shift_difference(gen.coeffs, m)
-        t = max(k for k, c in enumerate(p) if c)
-        sign = 1 if t == gen.ambient - 1 else -1
-        (*weights, s), _ = integer_scaled(composed.weights + (scale,))
-        lead = math.factorial(t) * p[t]
-        if any(w * lead != sign * s * math.factorial(k) * p[k] for k, w in enumerate(weights)):
-            raise DecompositionFailed(
-                f"composed part {composed.weights} does not match {scale} * B of "
-                f"the monic f(x) - f(x - {m})")
-        return
-    predicted = reduced_charge(tup).scaled(scale)
-    ref = max(abs(float(w)) for w in composed.weights) or 1.0
-    for a, b in zip(composed.weights, predicted.weights):
-        if abs(float(a) - float(b)) > WEIGHT_MATCH_TOL * ref:
-            raise DecompositionFailed(
-                f"composed part {tuple(map(float, composed.weights))} does not match "
-                f"{float(scale)} * B over {tuple(map(float, tup.entries))}")
+    if all_exact(f.coeffs) and is_exact(m):
+        p = integer_shift_difference(f.coeffs, m)
+    else:
+        p = [-sum(c * math.comb(k, j) * (-m) ** (k - j) for k, c in enumerate(f.coeffs) if k > j)
+             for j in range(f.ambient)]
+    return Polynomial(tuple(p[: f.ambient]), f.ambient - 1).monic()
+
+
+def _verify_prediction(composed: ReducedCharge, member: Polynomial, scale):
+    """DecompositionFailed unless composed is scale times the charge of the restricted member.
+
+    Equal weights on exact input; on float input within WEIGHT_MATCH_TOL
+    relative to the largest composed weight.
+    """
+    predicted = charge_of_poly(member).scaled(scale)
+    tol = 0
+    if not composed.is_exact():
+        tol = WEIGHT_MATCH_TOL * (max(abs(float(w)) for w in composed.weights) or 1.0)
+    if any(abs(a - b) > tol for a, b in zip(composed.weights, predicted.weights)):
+        raise DecompositionFailed(f"composed part {composed.weights} does not match "
+                                  f"{scale} * B of the restricted member {member.coeffs}")

@@ -153,6 +153,17 @@ class TestInBn:
         c, t = in_Bn(B)
         assert c == F(5, 2) and t.entries == (1, PLUS_INFINITY)
 
+    def test_separation_at_a_near_tie_is_certified(self):
+        # the middle root 1 + 2^-60 rounds to 1.0, so the rounded sep is 1.0
+        near = reduced_charge(RT(F(0), 1 + F(1, 2 ** 60), F(3)))
+        c, t = in_Bn(near, F(1))
+        assert c == 1 and t.entries == (0.0, 1.0, 3.0)
+        assert in_Bn(reduced_charge(RT(F(0), F(1), F(3))), F(1)) is None
+        # a degree-drop member: its finite roots decide
+        c, t = in_Bn(reduced_charge(RT(F(0), 1 + F(1, 2 ** 60), PLUS_INFINITY)), F(1))
+        assert t.entries == (0, 1 + F(1, 2 ** 60), PLUS_INFINITY)
+        assert in_Bn(reduced_charge(RT(F(0), F(1), PLUS_INFINITY)), F(1)) is None
+
 
 class TestInUn:
     def test_negative_orientation(self):

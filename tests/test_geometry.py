@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -153,6 +154,18 @@ class TestValidityIffInterlaced:
                                 a=a, b=b)
             valid, inter = validity_iff_interlaced(p)
             assert valid == inter, p
+
+    def test_agreement_a_power_of_two_from_the_boundary(self):
+        # a = alpha^2/6 + |b| alpha/2 +- 2^-k; the kernel roots round to a tie
+        rng = random.Random(18)
+        for _ in range(2000):
+            alpha = F(rng.randint(1, 32), 8)
+            b = F(rng.randint(-12, 12), 4)
+            k = rng.randint(40, 80)
+            above = rng.random() < 0.5
+            a = alpha * alpha / 6 + abs(b) * alpha / 2 + (1 if above else -1) * F(1, 2 ** k)
+            p = ThreefoldParams(alpha=alpha, beta=F(rng.randint(-8, 8), 4), a=a, b=b)
+            assert validity_iff_interlaced(p) == (above, above), p
 
 
 class TestFamilyEquivCheck:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from redstab import interlace
 from redstab.charge import CentralCharge, in_Un, reduced_charge
 from redstab.errors import (
     ComplexRoots,
@@ -30,6 +31,7 @@ from redstab.interlace import (
     _sep_batch,
     _sep_of_row,
     _wronskian_at_zero,
+    gaps_exceed,
     is_interlaced,
     left_interlaced,
     member_roots,
@@ -684,6 +686,48 @@ class TestSepExceeds:
         for d in (0.5, sampled, 1.0, 2.0):
             assert sep_exceeds(line, d) == (sampled > d)
             assert sep_exceeds(exact, d) == (sep_pencil(exact) > d)
+
+
+class TestGapsExceed:
+    def test_ties_and_near_ties(self):
+        near = 1 + F(1, 2 ** 60)
+        for tail in ((F(3),), (PLUS_INFINITY,)):
+            assert gaps_exceed(roots_to_poly(RT(F(0), near, *tail)), F(1))
+            assert not gaps_exceed(roots_to_poly(RT(F(0), F(1), *tail)), F(1))
+
+    def test_below_two_roots(self):
+        assert gaps_exceed(roots_to_poly(RT(F(0), PLUS_INFINITY)), F(10 ** 9))
+        assert gaps_exceed(Polynomial((F(-1), F(1)), 1), F(10 ** 9))
+
+
+class TestRootsCertifiedOnce:
+    """Each polynomial's roots are extracted once, on one Polynomial object."""
+
+    @staticmethod
+    def _extractions(monkeypatch):
+        seen = []
+        extract = interlace._extract_roots
+
+        def counting(f):
+            seen.append((f.coeffs, f.ambient))
+            return extract(f)
+
+        monkeypatch.setattr(interlace, "_extract_roots", counting)
+        return seen
+
+    def test_in_un_with_separation(self, monkeypatch):
+        Z = CentralCharge(reduced_charge(RT(F(0), F(2), F(5))),
+                          reduced_charge(RT(F(1), F(4), F(6))))
+        seen = self._extractions(monkeypatch)
+        assert in_Un(Z, F(1, 2))
+        assert len(seen) == len(set(seen)) == 3
+
+    def test_exact_stabilizing_shift(self, monkeypatch):
+        f = roots_to_poly(RT(F(0), F(2), F(5)))
+        g = roots_to_poly(RT(F(1), F(4), F(6)))
+        seen = self._extractions(monkeypatch)
+        assert stabilizing_shift(f, g, F(1, 2)) >= 1
+        assert len(seen) == len(set(seen)) >= 5
 
 
 @given(st.data())

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from redstab.errors import DecompositionFailed, InvalidAmbient, SepViolation
 from redstab.interlace import PLUS_INFINITY, RootTuple, roots_to_poly
 from redstab.restrict import (
     RestrictionSpec,
+    _restricted_member,
     _verify_prediction,
     compose_with_pushforward,
     pushforward_matrix,
@@ -167,23 +169,24 @@ class TestRestrictCharge:
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
     def test_exact_prediction_compared_by_equality(self):
-        # xi's roots are irrational in the first pair; t drops degree in the second
+        # the restricted roots are irrational in the first pair; t drops degree in the second
         for s, t in ((RT(F(0), F(2), F(5)), RT(F(1), F(4), F(6))),
                      (RT(F(-4), F(0), F(4)), RT(F(-2), F(2), PLUS_INFINITY))):
             Z = CentralCharge(reduced_charge(s).scaled(F(3, 2)), reduced_charge(t))
             rc = restrict_charge(Z, F(1, 3))
             line = split_central(Z)[2]
-            for part, gen, tup, scale in ((rc.charge.real, line.gen_a, rc.s, rc.scale_real),
-                                          (rc.charge.imag, line.gen_b, rc.t, rc.scale_imag)):
-                _verify_prediction(part, gen, tup, F(1, 3), scale)
+            for part, gen, scale in ((rc.charge.real, line.gen_a, rc.scale_real),
+                                     (rc.charge.imag, line.gen_b, rc.scale_imag)):
+                member = _restricted_member(gen, F(1, 3))
+                _verify_prediction(part, member, scale)
                 for k in range(3):
                     nudged = list(part.weights)
                     nudged[k] += F(1, 10 ** 30)
-                    with pytest.raises(DecompositionFailed, match="the monic f"):
-                        _verify_prediction(ReducedCharge(tuple(nudged)), gen, tup, F(1, 3), scale)
+                    with pytest.raises(DecompositionFailed, match="the restricted member"):
+                        _verify_prediction(ReducedCharge(tuple(nudged)), member, scale)
                 # on float input the same nudge is within WEIGHT_MATCH_TOL
                 as_float = ReducedCharge(tuple(map(float, nudged)))
-                _verify_prediction(as_float, gen, tup, 1 / 3, float(scale))
+                _verify_prediction(as_float, member, float(scale))
 
     def test_line_separation_at_the_degree_is_certified(self):
         # the derivative line of f takes its smallest gap, 1, at f itself
@@ -193,6 +196,35 @@ class TestRestrictCharge:
             restrict_charge(Z, F(1))
         rc = restrict_charge(Z, 1 - F(1, 2 ** 60))
         assert rc.scale_imag == 1 - F(1, 2 ** 60)
+
+    def test_restricted_tuples_at_a_near_tie(self):
+        # f's middle root 1 + 2^-60 rounds to 1.0, so the rounded sep of its roots is 1.0
+        t = RT(F(0), 1 + F(1, 2 ** 60), F(3))
+        f = roots_to_poly(t)
+        Z = CentralCharge(charge_of_poly(f.derivative().monic()).scaled(-1), charge_of_poly(f))
+        rc = restrict_charge(Z, F(1))
+        assert rc.t == xi(t, F(1))
+        assert rc.s.n == 2 and rc.s.has_infinity
+
+    def test_restricted_tuples_equal_xi_of_the_exact_tuples(self):
+        cases = 0
+        for s, t, below, c1, c2 in _interlaced_cases(random.Random(18), 45):
+            Z = CentralCharge(reduced_charge(s).scaled(c1), reduced_charge(t).scaled(c2))
+            rc = restrict_charge(Z, below)
+            for got, want in ((rc.s, xi(s, below)), (rc.t, xi(t, below))):
+                assert got == want and list(map(type, got)) == list(map(type, want))
+            cases += 1
+        assert cases >= 200
+
+    def test_float_charges_restrict_near_the_exact_tuples(self):
+        for s, t, below, c1, c2 in _interlaced_cases(random.Random(5), 12):
+            Z = CentralCharge(ReducedCharge(tuple(map(float, reduced_charge(s).scaled(c1).weights))),
+                              ReducedCharge(tuple(map(float, reduced_charge(t).scaled(c2).weights))))
+            rc = restrict_charge(Z, float(below))
+            for got, want in ((rc.s, xi(s, below)), (rc.t, xi(t, below))):
+                assert got.has_infinity == want.has_infinity
+                for a, b in zip(got.finite, want.finite):
+                    assert abs(a - float(b)) <= 1e-12 * max(1.0, abs(float(b)))
 
     def test_sep_hypothesis_enforced(self):
         Z = CentralCharge(reduced_charge(RT(F(-1), F(3))),
@@ -219,3 +251,21 @@ class TestRestrictCharge:
             Z = CentralCharge(reduced_charge(s), reduced_charge(RT(F(0), F(4))))
             with pytest.raises(DecompositionFailed, match="do not interlace"):
                 restrict_charge(Z, F(1, 4))
+
+
+def _interlaced_cases(rng, per_ambient):
+    """(s, t, below, c1, c2): s < t < s[1] exact, t ending in +inf in a third of the cases,
+    and a degree below the line's separation; n = 2..6."""
+    for n in range(2, 7):
+        for case in range(per_ambient):
+            t = [F(rng.randint(-12, 12), 4)]
+            for _ in range(n - 1):
+                t.append(t[-1] + F(rng.randint(4, 16), 4))
+            gap = min(b - a for a, b in zip(t, t[1:]))
+            shift = gap * F(rng.randint(4, 36), 40)
+            s = [x - shift for x in t]
+            if case % 3 == 0:
+                s[-1], t[-1] = t[-2] + (t[-1] - t[-2]) / 2, PLUS_INFINITY
+            s, t = RT(*s), RT(*t)
+            below = min(shift, gap - shift, s.sep(), t.sep()) * F(rng.randint(1, 3), 4)
+            yield s, t, below, F(rng.randint(1, 12), 4), F(rng.randint(1, 12), 4)
