@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .charge import CentralCharge, ReducedCharge, charge_of_poly, split_central
 from .errors import DecompositionFailed, InvalidAmbient, SepViolation
 from .exact import all_exact, coerce, is_exact
-from .interlace import PLUS_INFINITY, Polynomial, RootTuple, sep_exceeds
+from .interlace import Polynomial, RootTuple, sep_exceeds
 from .poly import integer_shift_difference, shift_difference
 
 
@@ -53,7 +53,7 @@ def xi(t, m) -> RootTuple:
     diff, k = shift_difference(fin, m), len(fin)
     # a difference of monic degree-k polynomials: degree exactly k - 1
     roots = Polynomial(diff[:k], k - 1).roots().entries if k > 1 else ()
-    return RootTuple(roots + (PLUS_INFINITY,) * t.has_infinity)
+    return RootTuple(roots + t.entries[k:])
 
 
 def xi_multi(t, spec) -> RootTuple:
