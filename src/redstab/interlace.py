@@ -680,12 +680,16 @@ def gaps_exceed(f: Polynomial, d) -> bool:
     """Whether every gap between the roots of the member f exceeds d > 0.
 
     It does exactly when shift_pencil(f, d) exists, certified on exact f and
-    d.  A degree-drop f is tested one ambient lower; below two roots no gap.
+    d.  A degree-drop f is tested one ambient lower, with the roots it has
+    already certified; below two roots no gap.
     """
     if f.degree < 2:
         return True
     if f.degree < f.ambient:
-        f = Polynomial(f.coeffs[: f.ambient], f.degree)
+        low = Polynomial(f.coeffs[: f.ambient], f.degree)
+        if "_certified_roots" in f.__dict__:
+            low.__dict__["_certified_roots"] = RootTuple(f.roots().finite)
+        f = low
     try:
         shift_pencil(f, d)
     except SepTooSmall:

@@ -3,11 +3,13 @@
 Index k holds the coefficient of x^k.  The helpers take ints, Fractions and
 floats and keep the representation of their input: exact in, exact out.
 
-The hot kernels ``poly_from_roots``, ``poly_shift_arg`` and
-``shift_difference`` run on integer numerators over one common denominator
-(exact.integer_scaled) when their input is exact, and form one Fraction per
-coefficient at the end; on float input they keep the float operation order
-of the plain product and Horner loops.
+The hot kernels ``poly_from_roots`` and ``poly_shift_arg`` run on integer
+numerators over one common denominator (exact.integer_scaled) when their
+input is exact, and form one Fraction per coefficient at the end; on float
+input they keep the float operation order of the plain product and Horner
+loops.  ``integer_shift_difference`` (behind restrict's f(x) - f(x - m))
+and ``shift_wronskian`` return positive integer multiples of their
+polynomials.
 
 The integer Horner value ``scaled_value``, the Sturm chain and its sign
 variations serve exact root certification (interlace) and the Sturm count of
@@ -66,35 +68,12 @@ def poly_from_roots(roots) -> tuple:
             coeffs = poly_mul(coeffs, (-r, 1))
         return coeffs
     ints, den = integer_scaled(roots)
-    scale = den ** len(ints)
-    return tuple(Fraction(c, scale) for c in _integer_root_product(ints, den))
-
-
-def shift_difference(roots, m) -> tuple:
-    """Coefficients of f(x) - f(x - m) for the monic f = prod (x - r).
-
-    On exact input the roots of f(x - m) are r + m, so with the roots and m
-    over one common denominator E both products are integer products of
-    factors (E x - p) and each coefficient is one Fraction over E^k.
-    Otherwise f(x - m) is poly_shift_arg(f, -m).
-    """
-    if not (all_exact(roots) and is_exact(m)):
-        f = poly_from_roots(roots)
-        return poly_add(f, poly_scale(poly_shift_arg(f, -m), -1))
-    (*ints, shift), den = integer_scaled(tuple(roots) + (m,))
-    high = _integer_root_product(ints, den)
-    low = _integer_root_product([p + shift for p in ints], den)
-    scale = den ** len(ints)
-    return tuple(Fraction(a - b, scale) for a, b in zip(high, low))
-
-
-def _integer_root_product(ints, den) -> list:
-    """Integer coefficients of prod (den x - p) over p in ints."""
     out = [1]
     for p in ints:
         # (den x - p) * out: coefficient j is den out[j-1] - p out[j]
         out = [den * a - p * b for a, b in zip([0] + out, out + [0])]
-    return out
+    scale = den ** len(ints)
+    return tuple(Fraction(c, scale) for c in out)
 
 
 def poly_shift_arg(coeffs, m):

@@ -1,12 +1,13 @@
 """Hypersurface restriction on parameters and charges.
 
 Passing to a degree-m hypersurface sends a parameter tuple t to the roots of
-the difference polynomial prod(x - t_i) - prod(x - t_i - m); the separation
-hypothesis sep(t) > m makes the two products interlace, so the image lands
-one ambient lower with separation still above m.  On charges the same move
+the restricted member f(x) - f(x - m) of f = prod(x - t_i), one ambient
+lower; the separation hypothesis sep(t) > m makes f(x) and f(x - m)
+interlace, so the image keeps separation above m.  On charges the same move
 is composition with the pushforward matrix M (M gamma_(n-1)(x) = gamma_n(x)
 - gamma_n(x - m)); the composed parts are m times the charges of the
-restricted members f(x) - f(x - m) of the line's generators f.
+restricted members of the line's generators.  Both go through
+_restricted_member, the one construction of f(x) - f(x - m).
 
 The map is onto the separation-above-m tuples one ambient lower only for
 small ambients (up to 4); no inverse or section is provided here, and none
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from .charge import CentralCharge, ReducedCharge, charge_of_poly, split_central
 from .errors import DecompositionFailed, InvalidAmbient, SepViolation
 from .exact import all_exact, coerce, is_exact
-from .interlace import Polynomial, RootTuple, sep_exceeds
-from .poly import integer_shift_difference, shift_difference
+from .interlace import Polynomial, RootTuple, roots_to_poly, sep_exceeds
+from .poly import integer_shift_difference
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,9 @@ class RestrictionSpec:
 def xi(t, m) -> RootTuple:
     """Restriction of a parameter tuple by a degree-m section.
 
-    Requires sep(t) > m strictly; drops to ambient n-1.  An infinite last
-    entry drops its two factors and the output keeps the +inf slot.
+    The roots of the restricted member of roots_to_poly(t), at ambient n-1.
+    Requires sep(t) > m strictly.  An infinite last entry makes f and its
+    restricted member drop degree, so the output keeps the +inf slot.
     """
     t = t if isinstance(t, RootTuple) else RootTuple(tuple(t))
     if t.n < 2:
@@ -49,11 +51,7 @@ def xi(t, m) -> RootTuple:
         raise SepViolation(f"degree must be positive, got {m}")
     if not t.sep() > m:
         raise SepViolation(f"sep(t) = {t.sep()} must exceed m = {m}")
-    fin = t.finite
-    diff, k = shift_difference(fin, m), len(fin)
-    # a difference of monic degree-k polynomials: degree exactly k - 1
-    roots = Polynomial(diff[:k], k - 1).roots().entries if k > 1 else ()
-    return RootTuple(roots + t.entries[k:])
+    return _restricted_member(roots_to_poly(t), m).roots()
 
 
 def xi_multi(t, spec) -> RootTuple:
@@ -125,7 +123,7 @@ def restrict_charge(Z: CentralCharge, m) -> RestrictedCharge:
     matrix = pushforward_matrix(Z.ambient, m)
     parts = []
     for B, gen, c in ((Z.real, line.gen_a, c1), (Z.imag, line.gen_b, c2)):
-        composed, member = compose_with_pushforward(B, matrix), _restricted_member(gen, m)
+        composed, member = compose_with_pushforward(B, matrix), _restricted_member(gen, m).monic()
         _verify_prediction(composed, member, c * m)
         parts.append((composed, member.roots()))
     (real_c, s_r), (imag_c, t_r) = parts
@@ -133,18 +131,21 @@ def restrict_charge(Z: CentralCharge, m) -> RestrictedCharge:
 
 
 def _restricted_member(f: Polynomial, m) -> Polynomial:
-    """The monic f(x) - f(x - m) at ambient n - 1.
+    """A positive multiple of f(x) - f(x - m), at ambient n - 1.
 
-    On exact f and m it comes from integers (poly.integer_shift_difference);
-    on float input coefficient j is -sum_(k > j) f_k C(k, j) (-m)^(k - j),
-    free of the cancellation in f(x) - f(x - m).
+    On exact f and m it has integer coefficients
+    (poly.integer_shift_difference); otherwise coefficient j is the float
+    sum -sum_(k > j) f_k C(k, j) (-m)^(k - j), free of the cancellation in
+    f(x) - f(x - m).  xi reads only its roots; restrict_charge takes it
+    monic to compare charges.
     """
     if all_exact(f.coeffs) and is_exact(m):
         p = integer_shift_difference(f.coeffs, m)
     else:
-        p = [-sum(c * math.comb(k, j) * (-m) ** (k - j) for k, c in enumerate(f.coeffs) if k > j)
+        c, m = [float(x) for x in f.coeffs], float(m)
+        p = [-sum(c[k] * math.comb(k, j) * (-m) ** (k - j) for k in range(j + 1, len(c)))
              for j in range(f.ambient)]
-    return Polynomial(tuple(p[: f.ambient]), f.ambient - 1).monic()
+    return Polynomial(tuple(p[: f.ambient]), f.ambient - 1)
 
 
 def _verify_prediction(composed: ReducedCharge, member: Polynomial, scale):

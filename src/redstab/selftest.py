@@ -31,7 +31,6 @@ from .geometry import (
     max_alpha,
     params_from_tuples,
     threefold_kernel_tuples,
-    validity_iff_interlaced,
 )
 from .interlace import (
     PLUS_INFINITY,
@@ -45,6 +44,7 @@ from .interlace import (
     sep_pencil,
     shift_pencil,
 )
+from .poly import poly_shift_arg
 from .quadform import QuadraticForm, line_charges, q_line, q_tilde, verify_support
 from .restrict import pushforward_matrix, xi
 from .walls import hilb_boundary, hilb_bounds
@@ -390,7 +390,10 @@ def criterion_9(tuples=200, validity_draws=1000, near_boundary=100, seed=0, tol=
         if a == crit or a <= 0:
             continue
         p = ThreefoldParams(alpha=alpha, beta=_rand_fraction(rng, -2, 2, 4), a=a, b=b)
-        valid, inter = validity_iff_interlaced(p)
+        # the kernel polynomials, in y = x - beta: y^3 - 3b y^2 - 6a y and y^2 - alpha^2
+        real = Polynomial(poly_shift_arg((0, -6 * a, -3 * b, 1), -p.beta), 3)
+        imag = Polynomial(poly_shift_arg((-alpha * alpha, 0, 1), -p.beta) + (0,), 3)
+        valid, inter = p.is_valid, is_interlaced(real, imag)
         if valid != inter:
             agree_fails += 1
             fails.append(("validity", str(p), valid, inter))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from redstab import interlace
 from redstab.charge import (
     ALL_NONNEG,
     ALL_NONPOS,
@@ -163,6 +164,21 @@ class TestInBn:
         c, t = in_Bn(reduced_charge(RT(F(0), 1 + F(1, 2 ** 60), PLUS_INFINITY)), F(1))
         assert t.entries == (0, 1 + F(1, 2 ** 60), PLUS_INFINITY)
         assert in_Bn(reduced_charge(RT(F(0), F(1), PLUS_INFINITY)), F(1)) is None
+
+    def test_degree_drop_member_certified_once(self, monkeypatch):
+        calls = []
+        extract = interlace._extract_roots
+
+        def counting(f):
+            calls.append(f.ambient)
+            return extract(f)
+
+        monkeypatch.setattr(interlace, "_extract_roots", counting)
+        c, t = in_Bn(reduced_charge(RT(F(0), F(2), F(5), PLUS_INFINITY)), F(1))
+        # the member at ambient 4, then its shift f(x + 1) one ambient lower
+        assert calls == [4, 3]
+        assert c == 1 and t.entries == (0, 2, 5, PLUS_INFINITY)
+        assert in_Bn(reduced_charge(RT(F(0), F(2), F(5), PLUS_INFINITY)), F(2)) is None
 
 
 class TestInUn:

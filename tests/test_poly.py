@@ -19,7 +19,6 @@ from redstab.poly import (
     poly_from_roots,
     poly_mul,
     poly_shift_arg,
-    shift_difference,
     shift_wronskian,
     sturm_chain,
     sturm_count_real,
@@ -121,23 +120,6 @@ class TestShiftArg:
             want = tuple(a + b for a, b in zip((0,) + want, tuple(x * m for x in want) + (0,)))
             want = (want[0] + c,) + want[1:]
         assert _bits(poly_shift_arg(coeffs, m)) == _bits(want)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_shift_difference_equals_fraction_difference(self, n):
-        rng = random.Random(300 + n)
-        for _ in range(10):
-            roots = _rational_tuple(rng, n)
-            m = F(rng.randint(-30, 30), rng.randint(1, 12))
-            f = _ref_from_roots(roots)
-            want = [a - b for a, b in zip(f, _ref_shift(f, -m))]
-            got = shift_difference(roots, m)
-            assert got == tuple(want) and all(type(c) is F for c in got)
-
-    def test_shift_difference_float_shift_takes_float_route(self):
-        roots = (F(0), F(2), F(5))
-        f = poly_from_roots(roots)
-        want = tuple(a - b for a, b in zip(f, poly_shift_arg(f, -0.5)))
-        assert _bits(shift_difference(roots, 0.5)) == _bits(want)
 
 
 def _positive_multiple(got, want) -> bool:

@@ -14,7 +14,7 @@ from redstab.charge import (
     split_central,
 )
 from redstab.errors import DecompositionFailed, InvalidAmbient, SepViolation
-from redstab.interlace import PLUS_INFINITY, RootTuple, roots_to_poly
+from redstab.interlace import PLUS_INFINITY, Polynomial, RootTuple, roots_to_poly
 from redstab.restrict import (
     RestrictionSpec,
     _restricted_member,
@@ -67,6 +67,42 @@ class TestXi:
             m = t.sep() * F(int(rng.integers(2, 9)), 10)
             out = xi(t, m)
             assert float(out.sep()) > float(m) - 1e-9
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exact_equals_roots_of_the_fraction_difference(self, n):
+        # 30 cases per n, a quarter of them ending in +inf: 210 in all
+        rng = random.Random(20 + n)
+        for case in range(30):
+            den = rng.choice((1, 2, 3, 7, 12, 30))
+            t = sorted(F(x, den) for x in rng.sample(range(-60, 60), n))
+            if case % 4 == 0:
+                t[-1] = PLUS_INFINITY
+            t = RT(*t)
+            gap = F(5) if t.sep() == PLUS_INFINITY else t.sep()
+            m = gap * F(rng.randint(1, 19), 20)
+            got = xi(t, m)
+            want = Polynomial(_fraction_difference(t.finite, m, n), n - 1).roots()
+            assert got == want and list(map(type, got)) == list(map(type, want))
+
+    def test_float_input_close_to_the_exact_value(self):
+        # close roots and a small m: subtracting f(x - m) from f(x) in floats loses about 1e-10
+        t = tuple(x / 11 for x in (-47, -46, -45, -39, -38, 24))
+        m = 2 / 55
+        got = xi(RT(*t), m)
+        want = xi(RT(*map(F, t)), F(m))
+        assert got.n == want.n == 5
+        for a, b in zip(got, want):
+            assert abs(a - float(b)) <= 1e-11 * abs(float(b))
+
+
+def _fraction_difference(roots, m, length):
+    """f(x) - f(x - m) for f = prod (x - r) over Fractions, zero-padded to length coefficients."""
+    f = [F(1)]
+    for r in roots:
+        f = [a - r * b for a, b in zip([F(0)] + f, f + [F(0)])]
+    diff = [f[j] - sum(f[k] * math.comb(k, j) * (-m) ** (k - j) for k in range(j, len(f)))
+            for j in range(len(f) - 1)]
+    return tuple(diff) + (F(0),) * (length - len(diff))
 
 
 class TestXiMulti:
@@ -177,7 +213,7 @@ class TestRestrictCharge:
             line = split_central(Z)[2]
             for part, gen, scale in ((rc.charge.real, line.gen_a, rc.scale_real),
                                      (rc.charge.imag, line.gen_b, rc.scale_imag)):
-                member = _restricted_member(gen, F(1, 3))
+                member = _restricted_member(gen, F(1, 3)).monic()
                 _verify_prediction(part, member, scale)
                 for k in range(3):
                     nudged = list(part.weights)
