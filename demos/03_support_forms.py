@@ -67,5 +67,6 @@ f2 = tuple(F(int(i == 2)) for i in range(rho))
 out, report = deform_form(h, f1, f2, QuadraticForm(tuple(map(tuple, model))),
                           F(1, 2), F(3), samples=500, seed=0)
 print("\ndeformed form signature:", out.inertia(),
-      "| sampled containments clean:", report.ok,
-      f"({report.lower_samples} segment samples, {report.upper_samples} cone samples)")
+      "| segment certified:", report.lower_certified,
+      "| containments hold:", report.ok,
+      f"({report.upper_samples} integer cone samples)")

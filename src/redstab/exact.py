@@ -14,12 +14,14 @@ needs no such step, since a Fraction times a float is a float.
 
 One elimination, ``_eliminate`` (fraction-free Bareiss Gauss-Jordan on
 integer rows), serves all exact linear algebra: ``rref`` and through it
-``solve``, ``inv``, ``nullspace``, ``rank`` and ``particular_solution``; the
+``solve``, ``inv``, ``nullspace`` and ``particular_solution``; the
 determinant ``bareiss_det`` (its last pivot); ``is_negative_definite`` (the
 pivots of the pass without row swaps, the leading minors); and ``inertia``,
 by Descartes' rule on the characteristic polynomial, which has only real
-roots, with its values from ``bareiss_det`` and its coefficients from
-``solve``.  Float input falls back to numpy with explicit tolerances.
+roots and is monic, with n of its values from ``bareiss_det`` and its lower
+coefficients from an n-square ``solve``.  Float input falls back to numpy
+with explicit tolerances.  The determinant that dispatches on exactness
+serves the oracles alone and lives in redstab.oracles.
 
 ``integer_scaled`` writes a group of numbers as integers over one common
 denominator.  Exact sums of products (eliminated rows, exact pairings,
@@ -166,13 +168,6 @@ def bareiss_det(rows):
     return Fraction(sign * pivot, scale) if rank == n else _ZERO
 
 
-def det(rows):
-    """Determinant: exact Bareiss on rational input, numpy otherwise."""
-    if all(all_exact(row) for row in rows):
-        return bareiss_det(rows)
-    return float(np.linalg.det(np.array(rows, dtype=float)))
-
-
 def rref(rows, width=None):
     """Gauss-Jordan elimination: (reduced rows, pivot columns), as Fractions.
 
@@ -223,11 +218,6 @@ def nullspace(rows, width=None):
             v[pc] = -m[i][fc]
         basis.append(v)
     return basis
-
-
-def rank(rows, width=None):
-    """Rank of a rational matrix."""
-    return len(rref(rows, width)[1])
 
 
 def particular_solution(rows, rhs, width):
@@ -281,12 +271,13 @@ def is_negative_definite(gram):
 def inertia(gram):
     """Inertia (n_pos, n_neg, n_zero) of a symmetric matrix.
 
-    On rational input, Descartes' rule on chi(x) = det(x I - G): its values
-    at x = 0..n are Bareiss determinants and its coefficients solve the
-    Vandermonde system.  chi has only real roots, so its coefficient sign
-    changes count the positive eigenvalues and the index of its lowest
-    nonzero coefficient counts the zero eigenvalues.  Float input uses numpy
-    eigenvalues with a relative margin.
+    On rational input, Descartes' rule on chi(x) = det(x I - G), which is
+    monic: its values at x = 0..n-1 are Bareiss determinants, and its lower
+    coefficients solve the n-square Vandermonde system for chi(x) - x^n.
+    chi has only real roots, so its coefficient sign changes count the
+    positive eigenvalues and the index of its lowest nonzero coefficient
+    counts the zero eigenvalues.  Float input uses numpy eigenvalues with a
+    relative margin.
     """
     n = len(gram)
     if n == 0:
@@ -298,8 +289,8 @@ def inertia(gram):
         neg = int(np.sum(w < -FLOAT_EIG_MARGIN * scale))
         return (pos, neg, n - pos - neg)
     values = [bareiss_det([[(x if i == j else 0) - g for j, g in enumerate(row)]
-                           for i, row in enumerate(gram)]) for x in range(n + 1)]
-    chi = solve([[x ** k for k in range(n + 1)] for x in range(n + 1)], values)
+                           for i, row in enumerate(gram)]) - x ** n for x in range(n)]
+    chi = solve([[x ** k for k in range(n)] for x in range(n)], values) + [1]
     zero = next(k for k, c in enumerate(chi) if c)
     signs = [c > 0 for c in chi[zero:] if c]
     pos = sum(a != b for a, b in zip(signs, signs[1:]))

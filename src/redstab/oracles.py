@@ -2,9 +2,10 @@
 
 These deliberately avoid the production code paths they are used to check:
 the pencil oracle works on raw coefficient sequences with numpy eigenvalues,
-exact Sylvester resultants, and Sturm real-root counts (redstab.poly; the
-Sturm chain is also the exact fallback of production root extraction, so
-the tests check exact roots against Fraction evaluation instead); the
+exact Sylvester resultants and Lagrange interpolation (both here, out of
+production), and Sturm real-root counts (redstab.poly; the Sturm chain is
+also the exact fallback of production root extraction, so the tests check
+exact roots against Fraction evaluation instead); the
 cofactor charge expands the defining Vandermonde determinant minor by minor;
 the kernel-sign scan only evaluates charges on a corner family with
 sign-change bisection; the pointwise support check evaluates Q(gamma(t)) at
@@ -20,21 +21,71 @@ import numpy as np
 
 from .charge import ReducedCharge, eval_charge, gamma, reduced_charge
 from .errors import ComplexRoots, NotDistinctRoots
-from .exact import all_exact, bareiss_det, det, is_negative_definite
+from .exact import all_exact, bareiss_det, is_negative_definite
 from .interlace import PLUS_INFINITY, RootTuple, pencil_canonical
-from .poly import lagrange_coeffs, poly_derivative, sturm_count_real, sylvester_resultant, trim
+from .poly import poly_derivative, poly_mul, sturm_count_real, trim
 from .quadform import SupportReport, kernel_of_line
 
 ORACLE_SAMPLES = 256
+
+
+# ---------------------------------------------------------------------------
+# exact routines of the oracles alone
+
+
+def det(rows):
+    """Determinant: exact Bareiss on rational input, numpy otherwise."""
+    if all(all_exact(row) for row in rows):
+        return bareiss_det(rows)
+    return float(np.linalg.det(np.array(rows, dtype=float)))
+
+
+def sylvester_resultant(p, q):
+    """Resultant of two rational polynomials via the Sylvester determinant."""
+    p = trim([Fraction(x) for x in p])
+    q = trim([Fraction(x) for x in q])
+    dp, dq = len(p) - 1, len(q) - 1
+    if dp == 0:
+        return p[0] ** dq
+    if dq == 0:
+        return q[0] ** dp
+    size = dp + dq
+    rows = []
+    desc_p = list(reversed(p))
+    desc_q = list(reversed(q))
+    for i in range(dq):
+        rows.append([Fraction(0)] * i + desc_p + [Fraction(0)] * (size - i - dp - 1))
+    for i in range(dp):
+        rows.append([Fraction(0)] * i + desc_q + [Fraction(0)] * (size - i - dq - 1))
+    return bareiss_det(rows)
+
+
+def lagrange_coeffs(xs, ys):
+    """Exact interpolation through (xs, ys); ascending coefficients."""
+    n = len(xs)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        basis = (Fraction(1),)
+        denom = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            basis = poly_mul(basis, (-Fraction(xs[j]), Fraction(1)))
+            denom *= Fraction(xs[i]) - Fraction(xs[j])
+        scale = Fraction(ys[i]) / denom
+        for k, c in enumerate(basis):
+            out[k] += scale * c
+    return trim(out)
+
+
+# ---------------------------------------------------------------------------
+# the pencil oracle
 
 
 def _real_rooted_distinct_exact(p) -> bool:
     p = trim([Fraction(x) for x in p])
     deg = len(p) - 1
     return deg >= 0 and sturm_count_real(p) == deg
-
-
-# ---------------------------------------------------------------------------
 
 
 def _members_all_real_distinct(f_coeffs, g_coeffs, samples) -> bool:
@@ -158,7 +209,7 @@ def reduced_charge_cofactors(t) -> ReducedCharge:
     """The normalized charge of a tuple from its defining determinant.
 
     B_t(v) = C_t det(gamma(t_1); ...; gamma(t_n); v), expanded along v into
-    n+1 cofactor minors (Bareiss on exact input, exact.det on float input),
+    n+1 cofactor minors (``det``: Bareiss on exact input, numpy on float input),
     with C_t = prod_{k<n} k! / prod_{i<j} (t_j - t_i) making the ch_n weight
     1.  An infinite last entry reduces inductively: B_t(v) = -B_t'(v_0..v_(n-1)).
     """
@@ -180,7 +231,7 @@ def reduced_charge_cofactors(t) -> ReducedCharge:
     weights = []
     for k in range(n + 1):
         minor = [[row[j] for j in range(n + 1) if j != k] for row in rows]
-        cof = bareiss_det(minor) if exact else det(minor)
+        cof = det(minor)
         sign = -1 if (n + k) % 2 else 1
         weights.append(sign * c_t * cof)
     return ReducedCharge(tuple(weights))

@@ -657,15 +657,18 @@ def in_WQ(Z: CentralCharge, Q: QuadraticForm) -> bool:
 
 @dataclass
 class DeformReport:
-    lower_samples: int
-    lower_failures: list
+    """``deform_form``'s segment certificate and its sampled cone containment."""
+
+    lower_certified: bool
     upper_samples: int
     upper_failures: list
     params: dict
 
     @property
     def ok(self) -> bool:
-        return not self.lower_failures and not self.upper_failures
+        """Certified segment and no failed cone sample; with ``upper_samples``
+        0 (the tries budget spent outside neg(out)) it is the certificate alone."""
+        return self.lower_certified and not self.upper_failures
 
 
 def deform_form(h, f1, f2, Q: QuadraticForm, d, N,
@@ -674,28 +677,24 @@ def deform_form(h, f1, f2, Q: QuadraticForm, d, N,
 
     Builds the adapted-coordinate form D1~ x1^2 + D2~ x2 (x2 + N x3)
     - sum x_k^2 - eps (x2^2 + (x2 + N x3)^2) with the construction's
-    parameter choices, pulled back to lattice coordinates, together with a
-    sampled verification of the two cone containments: every kernel vector
-    of (h, f1 + t f2) for t in [0, N] is strictly negative, and the negative
-    cone sits inside M_d union neg(Q).
+    parameter choices, pulled back to lattice coordinates, and checks its two
+    cone containments.  On Ker(h, f1 + t f2), x0 = 0 and x1 = -t x2, where
+    the form is x2^2 p(t) - sum_(k>=3) x_k^2; p < 0 on t in [0, N] is decided
+    exactly (``lower_certified``).  neg(out) inside M_d union neg(Q) is
+    sampled on integer vectors round(10^4 x), x standard normal, with at most
+    40 * samples tries: a thin negative cone can leave few samples, or none.
 
     Returns (QuadraticForm, DeformReport); raises AssumptionViolated when
     the hypotheses fail.
     """
-    h = tuple(h)
-    f1 = tuple(f1)
-    f2 = tuple(f2)
+    h, f1, f2 = (tuple(map(Fraction, w)) for w in (h, f1, f2))
     rho = len(h)
     if len(f1) != rho or len(f2) != rho or Q.dim != rho:
         raise AssumptionViolated("dimension mismatch")
     if not (d > 0 and N > 0):
         raise AssumptionViolated("need d > 0 and N > 0")
-    h = tuple(Fraction(x) for x in h)
-    f1 = tuple(Fraction(x) for x in f1)
-    f2 = tuple(Fraction(x) for x in f2)
-    Q = QuadraticForm(tuple(tuple(Fraction(x) for x in row) for row in Q.gram))
-    d = Fraction(d)
-    N = Fraction(N)
+    Q = QuadraticForm(tuple(tuple(map(Fraction, row)) for row in Q.gram))
+    d, N = Fraction(d), Fraction(N)
     if Q.inertia() != (2, rho - 2, 0):
         raise AssumptionViolated(f"form must have signature (2, {rho - 2})")
 
@@ -730,9 +729,12 @@ def deform_form(h, f1, f2, Q: QuadraticForm, d, N,
     if out.inertia() != (2, rho - 2, 0):
         raise AssumptionViolated("deformed form lost signature (2, rho-2)")
 
-    report = _deform_verify(out, Q, h, f1, f2, d, N, samples, seed)
-    report.params.update(out.meta)
-    return out, report
+    # p(t) < 0 on [0, N]: at both ends, and at the vertex of a concave p
+    g11, g12, g22 = ghat_tilde[1][1], ghat_tilde[1][2], ghat_tilde[2][2]
+    ts = [Fraction(0), N] + ([g12 / g11] if g11 < 0 and 0 < g12 / g11 < N else [])
+    lower = all((g11 * t - 2 * g12) * t + g22 < 0 for t in ts)
+    n_upper, upper_fail = _deform_verify(out, Q, h, f1, f2, d, samples, seed)
+    return out, DeformReport(lower, n_upper, upper_fail, dict(out.meta))
 
 
 def _transpose(m):
@@ -787,42 +789,37 @@ def _model_entry(i, j, big_d, rho):
     return big_d if i < 2 else Fraction(-1)
 
 
-def _deform_verify(out: QuadraticForm, Q: QuadraticForm, h, f1, f2, d, N,
-                   samples, seed):
+def _deform_verify(out: QuadraticForm, Q: QuadraticForm, h, f1, f2, d, samples, seed):
+    """(samples in neg(out), failures) of the cone containment, on integers.
+
+    ``out`` and Q are each scaled to one integer Gram, and (h, f1, f2) to one
+    denominator: positive scales keep every sign the test reads.
+    """
     rng = np.random.default_rng(seed)
     rho = len(h)
-    lower_fail = []
-    n_lower = 0
-    for t in [Fraction(0), N / 2, N] + [Fraction(x).limit_denominator(10 ** 6)
-                                        for x in rng.uniform(0, float(N), 17)]:
-        combo = [a + t * b for a, b in zip(f1, f2)]
-        basis = nullspace([list(h), combo])
-        for _ in range(max(1, samples // 40)):
-            coeffs = rng.standard_normal(len(basis))
-            v = [sum(Fraction(c).limit_denominator(10 ** 6) * bv[i] for c, bv in zip(coeffs, basis))
-                 for i in range(rho)]
-            if all(x == 0 for x in v):
-                continue
-            n_lower += 1
-            if not out(v) < 0:
-                lower_fail.append((t, v))
+    g_out, g_q, hf = ([ints[i:i + rho] for i in range(0, len(ints), rho)]
+                      for ints, _ in (integer_scaled(x for row in m for x in row)
+                                      for m in (out.gram, Q.gram, (h, f1, f2))))
     upper_fail = []
     n_upper = 0
-    tries = 0
-    while n_upper < samples and tries < samples * 40:
-        tries += 1
-        v = rng.standard_normal(rho)
-        vq = [Fraction(x).limit_denominator(10 ** 4) for x in v]
-        if not out(vq) < 0:
+    for _ in range(40 * samples):
+        v = [round(x) for x in (10 ** 4 * rng.standard_normal(rho)).tolist()]
+        if not _dot(v, _apply(g_out, v)) < 0:
             continue
+        a, b1, b2 = _apply(hf, v)
+        in_md = (b1 * b2 < 0 and d.denominator * a * a < d.numerator * b1 * b1
+                 and d.denominator * a * a < d.numerator * b2 * b2)
+        if not (in_md or _dot(v, _apply(g_q, v)) < 0):
+            upper_fail.append([x / 10 ** 4 for x in v])
         n_upper += 1
-        in_md = (_ev(f1, vq) * _ev(f2, vq) < 0
-                 and _ev(h, vq) ** 2 - d * _ev(f1, vq) ** 2 < 0
-                 and _ev(h, vq) ** 2 - d * _ev(f2, vq) ** 2 < 0)
-        if not (in_md or Q(vq) < 0):
-            upper_fail.append(list(map(float, vq)))
-    return DeformReport(n_lower, lower_fail, n_upper, upper_fail, {})
+        if n_upper == samples:
+            break
+    return n_upper, upper_fail
 
 
-def _ev(w, v):
-    return sum(a * b for a, b in zip(w, v))
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _apply(rows, v):
+    return [_dot(row, v) for row in rows]

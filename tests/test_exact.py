@@ -16,7 +16,6 @@ from redstab.exact import (
     is_negative_definite,
     nullspace,
     particular_solution,
-    rank,
     rref,
     solve,
 )
@@ -91,12 +90,6 @@ class TestSolveNullspaceInv:
         prod = [[sum(m[i][k] * mi[k][j] for k in range(2)) for j in range(2)]
                 for i in range(2)]
         assert prod == [[1, 0], [0, 1]]
-
-    def test_rank(self):
-        assert rank([[1, 2, 3], [0, 1, 4], [5, 6, 0]]) == 3
-        assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
-        assert rank([[0, 0], [0, 0]]) == 0
-        assert rank([[1, 2, 3]], 1) == 1
 
     def test_particular_solution_consistent(self):
         assert particular_solution([[2, 1], [1, 3]], [1, 0], 2) == [F(3, 5), F(-1, 5)]

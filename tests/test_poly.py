@@ -13,9 +13,9 @@ import pytest
 
 from redstab.charge import charge_of_poly
 from redstab.interlace import PLUS_INFINITY, Polynomial, RootTuple, roots_to_poly
+from redstab.oracles import lagrange_coeffs
 from redstab.poly import (
     integer_shift_difference,
-    lagrange_coeffs,
     poly_from_roots,
     poly_mul,
     poly_shift_arg,

@@ -15,7 +15,7 @@ from redstab.errors import (
     SingularForm,
     WrongSignature,
 )
-from redstab.exact import is_negative_definite, nullspace
+from redstab.exact import integer_scaled, is_negative_definite, mat_mul, nullspace
 from redstab.interlace import PLUS_INFINITY, Pencil, Polynomial, RootTuple, roots_to_poly
 from redstab.quadform import (
     QuadraticForm,
@@ -580,6 +580,47 @@ def _model_form(rho, big_d):
     return QuadraticForm(tuple(tuple(r) for r in g))
 
 
+def _deform_corpus(count):
+    """Seeded deform inputs, rho = 3..6: Q = W^T B W for a random rational W
+    with rows h, f1 first, B positive on the first two coordinates and
+    negative definite (sheared) on the rest, and f2 sheared by h and f1."""
+    rng = random.Random(21)
+    for k in range(count):
+        rho = 3 + k % 4
+        while True:
+            w = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rho)]
+                 for _ in range(rho)]
+            if len(nullspace(w)) == 0:
+                break
+        b = [[F(0)] * rho for _ in range(rho)]
+        b[0][0] = F(rng.choice([1, 2, 5, 40]))
+        b[1][1] = b[0][0] * F(rng.randint(1, 4), rng.randint(1, 4))
+        b[0][1] = b[1][0] = F(rng.randint(-1, 1), 4) * min(b[0][0], b[1][1])
+        low = [[F(rng.randint(-2, 2), 2) if j < i else F(int(i == j)) for j in range(rho - 2)]
+               for i in range(rho - 2)]
+        for i in range(rho - 2):
+            for j in range(rho - 2):
+                b[2 + i][2 + j] = -sum(x * y for x, y in zip(low[i], low[j]))
+        g = mat_mul([list(c) for c in zip(*w)], mat_mul(b, w))
+        f2 = [x + F(rng.randint(-2, 2)) * y - F(rng.randint(-2, 2), 3) * z
+              for x, y, z in zip(w[2], w[0], w[1])]
+        yield (w[0], w[1], f2, QuadraticForm(tuple(tuple(r) for r in g)),
+               F(rng.randint(1, 3), rng.choice([1, 2, 4])), F(rng.randint(1, 5), rng.randint(1, 2)))
+
+
+def _segment_values(out, h, f1, f2, n_val):
+    """out(v) on integer vectors of Ker(h, f1 + t f2), t = k N / 20: each
+    integer-scaled nullspace vector and the combination with weights 1, 2, ..."""
+    values = []
+    for k in range(21):
+        t = n_val * F(k, 20)
+        basis = [integer_scaled(v)[0]
+                 for v in nullspace([list(h), [a + t * b for a, b in zip(f1, f2)]])]
+        combo = [sum(c * x for c, x in enumerate(col, start=1)) for col in zip(*basis)]
+        values += [out(v) for v in basis + [combo]]
+    return values
+
+
 class TestDeformForm:
     def test_model_case_containments(self):
         rho = 5
@@ -589,8 +630,8 @@ class TestDeformForm:
         f2 = tuple(F(int(i == 2)) for i in range(rho))
         out, rep = deform_form(h, f1, f2, Qm, F(1, 2), F(3), samples=800, seed=3)
         assert out.inertia() == (2, rho - 2, 0)
-        assert rep.ok, (rep.lower_failures[:2], rep.upper_failures[:2])
-        assert rep.lower_samples > 100 and rep.upper_samples >= 800
+        assert rep.ok, (rep.lower_certified, rep.upper_failures[:2])
+        assert rep.lower_certified and rep.upper_samples >= 800
 
     def test_segment_witnesses_negative(self):
         rho = 4
@@ -604,6 +645,26 @@ class TestDeformForm:
             combo = [a + t * b for a, b in zip(f1, f2)]
             for w in nullspace([list(h), combo]):
                 assert out(w) < 0
+
+    def test_segment_certificate_on_rotated_corpus(self):
+        # the certificate against the test's own segment check: integer
+        # kernel vectors at 21 values of t, 0, N/2 and N among them
+        for h, f1, f2, Q, d, n_val in _deform_corpus(50):
+            out, rep = deform_form(h, f1, f2, Q, d, n_val, samples=10, seed=1)
+            assert rep.lower_certified
+            assert max(_segment_values(out, h, f1, f2, n_val)) < 0
+
+    def test_planted_defect_fails_certificate(self, monkeypatch):
+        # D = -2 makes p concave with p(N/2) > 0, while p(0), p(N) < 0 and the
+        # signature (2, rho - 2) survive: only the vertex check can catch it
+        rho = 5
+        Qm = _model_form(rho, F(3))
+        h, f1, f2 = (tuple(F(int(i == k)) for i in range(rho)) for k in range(3))
+        monkeypatch.setattr(quadform, "_model_cone_parameters", lambda g_hat, rho: (F(-2), F(1)))
+        out, rep = deform_form(h, f1, f2, Qm, F(1, 2), F(3), samples=50, seed=0)
+        assert out.inertia() == (2, rho - 2, 0)
+        assert not rep.lower_certified and not rep.ok
+        assert max(_segment_values(out, h, f1, f2, F(3))) > 0
 
     def test_nonadapted_input_form(self):
         # a generic rotation of the model still satisfies the hypotheses
