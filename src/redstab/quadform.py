@@ -675,13 +675,14 @@ def deform_form(h, f1, f2, Q: QuadraticForm, d, N,
                 samples: int = 2000, seed: int = 0):
     """Deformation of a support form along the segment of kernels of f1 + t f2.
 
-    Builds the adapted-coordinate form D1~ x1^2 + D2~ x2 (x2 + N x3)
-    - sum x_k^2 - eps (x2^2 + (x2 + N x3)^2) with the construction's
-    parameter choices, pulled back to lattice coordinates, and checks its two
-    cone containments.  On Ker(h, f1 + t f2), x0 = 0 and x1 = -t x2, where
-    the form is x2^2 p(t) - sum_(k>=3) x_k^2; p < 0 on t in [0, N] is decided
-    exactly (``lower_certified``).  neg(out) inside M_d union neg(Q) is
-    sampled on integer vectors round(10^4 x), x standard normal, with at most
+    Builds the form D1~ x0^2 + D2~ x1 (x1 + N x2) - sum_(k>=3) x_k^2
+    - eps (x1^2 + (x1 + N x2)^2) in the adapted coordinates x = W v (rows h,
+    f1, f2 first) with the construction's parameter choices, pulled back to
+    lattice coordinates, and checks its two cone containments.  On
+    Ker(h, f1 + t f2), x0 = 0 and x1 = -t x2, where the form is
+    x2^2 p(t) - sum_(k>=3) x_k^2; p < 0 on t in [0, N] is decided exactly
+    (``lower_certified``).  neg(out) inside M_d union neg(Q) is sampled on
+    integer vectors round(10^4 x), x standard normal, with at most
     40 * samples tries: a thin negative cone can leave few samples, or none.
 
     Returns (QuadraticForm, DeformReport); raises AssumptionViolated when
