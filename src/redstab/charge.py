@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     AmbientMismatch,
     DecompositionFailed,
@@ -246,9 +244,11 @@ def decompose(v, t) -> Decomposition:
     """Solve v = sum_i (-1)^i a_i gamma(t_i) and classify the sign pattern.
 
     Requires B_t(v) = 0 (exactly for rational data, else within the relative
-    kernel tolerance); raises NotInKernel otherwise.  Sign verdict treats
-    |a_i| below 1e-12 as zero; entries below the boundary tolerance are
-    flagged but still classified.
+    kernel tolerance); raises NotInKernel otherwise.  The system is solved
+    exactly (exact.solve), a float system at its binary values, whose
+    coefficients are then rounded once.  On float data the sign verdict
+    treats |a_i| below 1e-12 as zero; entries below the boundary tolerance
+    are flagged but still classified.
     """
     t = t if isinstance(t, RootTuple) else RootTuple(tuple(t))
     n = t.n
@@ -273,11 +273,9 @@ def decompose(v, t) -> Decomposition:
         rows = list(range(n))
     a_mat = [[signed[j][r] for j in range(n)] for r in rows]
     rhs = [v[r] for r in rows]
-    if exact:
-        coeffs = solve(a_mat, rhs)
-    else:
-        coeffs = list(np.linalg.solve(
-            np.array(a_mat, dtype=float), np.array(rhs, dtype=float)))
+    coeffs = solve(a_mat, rhs)
+    if not exact:
+        coeffs = [float(a) for a in coeffs]
     return _classify(coeffs, exact)
 
 

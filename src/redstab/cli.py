@@ -240,10 +240,8 @@ def cmd_geom_ab(args):
         return _emit({"result": {"holds": criterion_neg_def(v, _ns_vector(lat, args.w))}}, args)
     if args.verb == "ab-bayer":
         return _emit({"result": {"holds": criterion_bayer_step(v, _parse_vec(args.G))}}, args)
-    if args.verb == "ab-restrict":
-        return _emit({"result": {"holds": criterion_restrict(
-            v, _ns_vector(lat, args.w), _parse_vec(args.H))}}, args)
-    raise RedstabError(f"unknown ab verb {args.verb}")
+    return _emit({"result": {"holds": criterion_restrict(   # ab-restrict
+        v, _ns_vector(lat, args.w), _parse_vec(args.H))}}, args)
 
 
 def cmd_walls_hilb(args):
@@ -284,13 +282,10 @@ def _locus_doc(loc):
 
 
 def cmd_walls_plot(args):
-    fmt = args.format if args.format in ("svg", "csv") else "svg"
     if args.figure == "1":
-        doc = plots.figure_surface(c=args.c, fmt=fmt)
-    elif args.figure == "4":
-        doc = plots.figure_hilb(args.m, fmt=fmt)
+        doc = plots.figure_surface(c=args.c, fmt=args.format)
     else:
-        raise RedstabError(f"unknown figure {args.figure!r} (choose 1 or 4)")
+        doc = plots.figure_hilb(args.m, fmt=args.format)
     _write_out(doc, args)
     return 0
 

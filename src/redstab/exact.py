@@ -19,9 +19,11 @@ determinant ``bareiss_det`` (its last pivot); ``is_negative_definite`` (the
 pivots of the pass without row swaps, the leading minors); and ``inertia``,
 by Descartes' rule on the characteristic polynomial, which has only real
 roots and is monic, with n of its values from ``bareiss_det`` and its lower
-coefficients from an n-square ``solve``.  Float input falls back to numpy
-with explicit tolerances.  The determinant that dispatches on exactness
-serves the oracles alone and lives in redstab.oracles.
+coefficients from an n-square ``solve``.  Float input runs the same
+elimination at its exact binary value (a float is a dyadic rational), so
+every verdict is exact and a result is a Fraction that a float caller rounds
+once.  The determinant that dispatches on exactness serves the oracles alone
+and lives in redstab.oracles.
 
 ``integer_scaled`` writes a group of numbers as integers over one common
 denominator.  Exact sums of products (eliminated rows, exact pairings,
@@ -33,11 +35,8 @@ normalizing a Fraction at every step.
 from fractions import Fraction
 from math import inf, isqrt, lcm
 
-import numpy as np
-
 from .errors import SingularForm
 
-FLOAT_EIG_MARGIN = 1e-10  # definiteness margin for the float fallback
 _ZERO = Fraction(0)
 
 
@@ -246,50 +245,41 @@ def mat_mul(a, b):
 
 
 def is_negative_definite(gram):
-    """Strict negative definiteness of a symmetric matrix.
+    """Strict negative definiteness of a symmetric matrix: (-1)^k * minor_k > 0.
 
-    Exact principal-minor test on rational input ((-1)^k * minor_k > 0);
-    eigenvalue fallback with margin for float input.  The empty matrix is
-    negative definite by convention.
+    Exact on rational and float input alike (a float at its binary value).
+    The empty matrix is negative definite by convention.
 
-    The exact test is one ``_eliminate`` pass without row swaps over the rows
+    The test is one ``_eliminate`` pass without row swaps over the rows
     scaled to integers: the k-th pivot is the k-th leading minor times the
     (positive) row scales, so it has the minor's sign, and the pass stops at
     the first pivot of the wrong sign.
     """
     if len(gram) == 0:
         return True
-    if all(all_exact(row) for row in gram):
-        m = [integer_scaled(row)[0] for row in gram]
-        return all((pivot if k % 2 else -pivot) > 0
-                   for k, (_, pivot, _) in enumerate(_eliminate(m, len(m), swap=False)))
-    w = np.linalg.eigvalsh(np.array(gram, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(np.all(w < -FLOAT_EIG_MARGIN * scale))
+    m = [integer_scaled(row)[0] for row in gram]
+    return all((pivot if k % 2 else -pivot) > 0
+               for k, (_, pivot, _) in enumerate(_eliminate(m, len(m), swap=False)))
 
 
 def inertia(gram):
     """Inertia (n_pos, n_neg, n_zero) of a symmetric matrix.
 
-    On rational input, Descartes' rule on chi(x) = det(x I - G), which is
-    monic: its values at x = 0..n-1 are Bareiss determinants, and its lower
-    coefficients solve the n-square Vandermonde system for chi(x) - x^n.
-    chi has only real roots, so its coefficient sign changes count the
-    positive eigenvalues and the index of its lowest nonzero coefficient
-    counts the zero eigenvalues.  Float input uses numpy eigenvalues with a
-    relative margin.
+    Exact on rational and float input alike: the entries are scaled to
+    integers over one positive denominator (a float at its binary value),
+    which keeps the inertia.  Descartes' rule then runs on chi(x) =
+    det(x I - G) of that integer G, which is monic: its values at
+    x = 0..n-1 are Bareiss determinants, and its lower coefficients solve the
+    n-square Vandermonde system for chi(x) - x^n.  chi has only real roots,
+    so its coefficient sign changes count the positive eigenvalues and the
+    index of its lowest nonzero coefficient counts the zero eigenvalues.
     """
     n = len(gram)
     if n == 0:
         return (0, 0, 0)
-    if not all(all_exact(row) for row in gram):
-        w = np.linalg.eigvalsh(np.array(gram, dtype=float))
-        scale = max(1.0, float(np.max(np.abs(w))))
-        pos = int(np.sum(w > FLOAT_EIG_MARGIN * scale))
-        neg = int(np.sum(w < -FLOAT_EIG_MARGIN * scale))
-        return (pos, neg, n - pos - neg)
-    values = [bareiss_det([[(x if i == j else 0) - g for j, g in enumerate(row)]
-                           for i, row in enumerate(gram)]) - x ** n for x in range(n)]
+    ints, _ = integer_scaled([g for row in gram for g in row])
+    values = [bareiss_det([[x * (i == j) - ints[i * n + j] for j in range(n)]
+                           for i in range(n)]) - x ** n for x in range(n)]
     chi = solve([[x ** k for k in range(n)] for x in range(n)], values) + [1]
     zero = next(k for k, c in enumerate(chi) if c)
     signs = [c > 0 for c in chi[zero:] if c]

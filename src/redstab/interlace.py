@@ -48,7 +48,6 @@ from .errors import (
     ComplexRoots,
     DegenerateInput,
     InvalidAmbient,
-    InvariantViolated,
     NotDistinctRoots,
     SearchBudgetExceeded,
     SepTooSmall,
@@ -91,11 +90,9 @@ class RootTuple:
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise ValueError("root tuple needs at least one entry")
-        for i, t in enumerate(entries):
-            if t == PLUS_INFINITY and i != len(entries) - 1:
-                raise ValueError("only the last entry may be +inf")
-            if t == -PLUS_INFINITY:
-                raise ValueError("-inf is not a valid entry")
+        # a -inf or +inf elsewhere fails the strict increase
+        if entries[0] == -PLUS_INFINITY:
+            raise ValueError("-inf is not a valid entry")
         for a, b in zip(entries, entries[1:]):
             if not a < b:
                 raise ValueError(f"entries must be strictly increasing, got {entries}")
@@ -156,7 +153,7 @@ class Polynomial:
             raise ValueError("ambient degree must be >= 1")
         if len(coeffs) != n + 1:
             raise ValueError(f"expected {n + 1} coefficients for ambient {n}")
-        if coeffs[n] == 0 and (n == 0 or coeffs[n - 1] == 0):
+        if coeffs[n] == 0 and coeffs[n - 1] == 0:
             raise ValueError("degree must be n or n-1")
 
     @property
@@ -473,11 +470,8 @@ def _distinct_sorted(roots) -> tuple:
 
 
 def _pad_inf(finite, ambient):
-    if len(finite) == ambient:
-        return RootTuple(finite)
-    if len(finite) == ambient - 1:
-        return RootTuple(finite + (PLUS_INFINITY,))
-    raise ValueError("degree drop exceeds one")
+    """The roots of a member of degree ambient or ambient - 1, +inf for the drop."""
+    return RootTuple(finite if len(finite) == ambient else finite + (PLUS_INFINITY,))
 
 
 def _companion_eigvals(rows):
@@ -640,9 +634,8 @@ def pencil_project(l: Pencil) -> Pencil:
     f_l = pencil_canonical(l)
     gen = l.gen_a if l.gen_a.coeffs[n] != 0 else l.gen_b
     f = gen.monic()
+    # f and f_l are monic, so the degree-n term cancels exactly, floats included
     reduced = poly_add(f.coeffs, poly_scale(poly_mul((0, 1), f_l.coeffs), -1))
-    if reduced[n] != 0:
-        raise InvariantViolated("f - x*f_l keeps a degree-n term")
     first = Polynomial(reduced[:n], n - 1)
     second = Polynomial(f_l.coeffs[:n], n - 1)
     return Pencil(first, second)

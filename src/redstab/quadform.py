@@ -48,7 +48,6 @@ from .errors import (
     InvalidAmbient,
     InvariantViolated,
     NotDistinctRoots,
-    SingularForm,
     WrongSignature,
 )
 from .exact import (
@@ -618,15 +617,15 @@ def q_tilde(l: Pencil, samples: int = 50) -> QuadraticForm:
 
 
 def dual_form(Q: QuadraticForm) -> QuadraticForm:
-    """Dual form on the dual space: the exact Gram inverse."""
-    if Q.is_exact():
-        return QuadraticForm(tuple(tuple(row) for row in inv([list(r) for r in Q.gram])),
-                             {"construction": "dual"})
-    arr = np.array(Q.gram, dtype=float)
-    if abs(np.linalg.det(arr)) < 1e-300:
-        raise SingularForm("gram is singular")
-    return QuadraticForm(tuple(tuple(x for x in row) for row in np.linalg.inv(arr)),
-                         {"construction": "dual"})
+    """Dual form on the dual space: the exact Gram inverse.
+
+    A float Gram is inverted at its binary values and each entry rounded
+    once, so the dual Gram stays symmetric.  Raises SingularForm.
+    """
+    gram = inv([list(r) for r in Q.gram])
+    if not Q.is_exact():
+        gram = [[float(x) for x in row] for row in gram]
+    return QuadraticForm(gram, {"construction": "dual"})
 
 
 def in_WQ(Z: CentralCharge, Q: QuadraticForm) -> bool:

@@ -2,9 +2,10 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from redstab import interlace
+from redstab import charge, interlace
 from redstab.charge import (
     ALL_NONNEG,
     ALL_NONPOS,
@@ -22,6 +23,7 @@ from redstab.charge import (
     reduced_charge,
 )
 from redstab.errors import AmbientMismatch, InKernelOfLine, NotInKernel
+from redstab.exact import rref
 from redstab.interlace import (
     PLUS_INFINITY,
     Pencil,
@@ -267,6 +269,42 @@ class TestDecompose:
                       for r in range(n + 1))
             assert list(decompose(v, t).coeffs) == a
 
+    def test_float_solve_keeps_the_verdicts(self):
+        # the float system is solved exactly at its binary values and rounded
+        # once; against numpy's LU solve of the same system as the reference,
+        # the verdicts are equal and the worst error against the true
+        # coefficients is no larger
+        rng = random.Random(22)
+        worst_exact = worst_lu = 0.0
+        verdicts = set()
+        for trial in range(1000):
+            n = rng.randint(2, 6)
+            ent = [rng.uniform(-6, -4)]
+            for _ in range(n - 1):
+                ent.append(ent[-1] + rng.uniform(0.3, 2.5))
+            if trial % 4 == 0:
+                ent[-1] = PLUS_INFINITY
+            t = RootTuple(tuple(ent))
+            sign = (1, -1, None)[trial % 3]
+            a = [(sign or rng.choice((1, -1))) * rng.uniform(0.05, 2) for _ in range(n)]
+            if rng.random() < 0.2:
+                a[rng.randrange(n)] = 0.0
+            cols = [gamma(ti, n) for ti in t.entries]
+            signed = [[(-1) ** (i + 1) * x for x in col] for i, col in enumerate(cols)]
+            v = tuple(sum(a[i] * signed[i][r] for i in range(n)) for r in range(n + 1))
+            rows = list(range(n - 1)) + [n] if t.has_infinity else list(range(n))
+            lu = np.linalg.solve(np.array([[signed[j][r] for j in range(n)] for r in rows]),
+                                 np.array([v[r] for r in rows]))
+            dec = decompose(v, t)
+            assert dec.verdict == charge._classify(list(lu), False).verdict
+            assert all(type(c) is float for c in dec.coeffs)
+            scale = max(abs(x) for x in a)
+            worst_exact = max(worst_exact, *(abs(c - x) / scale for c, x in zip(dec.coeffs, a)))
+            worst_lu = max(worst_lu, *(abs(c - x) / scale for c, x in zip(lu, a)))
+            verdicts.add(dec.verdict)
+        assert verdicts == {ALL_NONNEG, ALL_NONPOS, MIXED}
+        assert worst_exact <= worst_lu
+
 
 class TestKernelParameter:
     def line(self):
@@ -283,6 +321,31 @@ class TestKernelParameter:
         v = tuple(kernel_of_line(self.line())[0])
         with pytest.raises(InKernelOfLine):
             kernel_parameter(self.line(), v)
+
+    def test_neither_generator_vanishes(self):
+        # v in the kernel of B_r for a tuple r on a line whose generators are
+        # two other members: the general case combines both generators.  r is
+        # dyadic, so its correctly rounded roots are its exact entries
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            xs = sorted(F(x, 4) for x in rng.sample(range(-40, 40), 2 * n))
+            r, s = RT(*xs[0::2]), RT(*xs[1::2])
+            base = Pencil.from_tuples(r, s)
+            g1 = base.member(1, F(rng.randint(1, 9), 4))
+            g2 = base.member(1, -F(rng.randint(1, 9), 4))
+            line = Pencil(g1, g2)
+            c = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n)]
+            cols = [gamma(x, n) for x in r.entries]
+            v = [sum(ci * col[k] for ci, col in zip(c, cols)) for k in range(n + 1)]
+            B1, B2 = charge_of_poly(g1), charge_of_poly(g2)
+            assert eval_charge(B1, v) != 0 and eval_charge(B2, v) != 0
+            got = RT(*map(F, kernel_parameter(line, v).entries))
+            assert got.entries == r.entries
+            assert eval_charge(reduced_charge(got), v) == 0
+            pivots = rref([list(B1.weights), list(B2.weights),
+                           list(reduced_charge(got).weights)])[1]
+            assert len(pivots) == 2
 
     def test_generic_member(self):
         v = (F(1), F(1), F(1))

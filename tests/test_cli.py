@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from redstab.cli import main, run_capture
+from redstab.cli import build_parser, main, run_capture
 
 
 def run_json(argv):
@@ -201,6 +202,81 @@ class TestContract:
         code, text = run_capture(["walls", "plot", "--figure", "4", "--m", "1",
                                   "--format", "csv"])
         assert code == 0 and "coord1,coord2,residual" in text
+
+
+_AB = ["--gram", '[["0","1","0"],["1","0","0"],["0","0","-2"]]',
+       "--v", '["1",["1","1","0"],"1/2"]']
+_W = '["0",["1","-1","1"],"-5/2"]'
+_BOX = ["--v", '["1/2","-1","-1","-2/3"]', "--w", '["7/4","23/4","91/8","407/24"]',
+        "--box", "[[-1.0,1.0],[1.0,3.0],[4.0,6.0]]", "--samples", "16"]
+
+# at least one successful case per verb, and every output format
+VERB_CASES = [
+    ["interlace", "check", "--f", "[0,-1,1]", "--g", "[12,-7,1]"],
+    ["interlace", "sep", "--roots", '["0","2","5"]'],
+    ["interlace", "sep-pencil", "--f", "[0,-2,1]", "--g", "[3,-4,1]", "--samples", "60"],
+    ["charge", "eval", "--roots", '["0","2"]', "--v", '["0","0","1"]'],
+    ["charge", "weights", "--roots", '["0","2"]'],
+    ["charge", "decompose", "--roots", '["0","2"]', "--v", '["0","2","2"]'],
+    ["charge", "in-bn", "--weights", '["-3/2","1/2","1"]'],
+    ["quadform", "build", "--s", '["0","2"]', "--t", '["1","inf"]'],
+    ["quadform", "verify", "--s", '["0","2"]', "--t", '["1","inf"]'],
+    ["geom", "threefold", "--alpha", "1", "--beta", "0", "--a", "1", "--b", "0"],
+    ["geom", "params", "--roots", '["-1","1","3"]'],
+    ["geom", "validity", "--alpha", "1", "--beta", "0", "--a", "1/6", "--b", "0"],
+    ["geom", "family", "--roots", '["-2","1/3","3"]',
+     "--v", '["1/2","7/6","-149/36","-293/324"]', "--grid", "8"],
+    ["geom", "ab-delta", *_AB],
+    ["geom", "ab-delta", *_AB, "--w", _W],
+    ["geom", "ab-twist", *_AB, "--G", '["1","0","1"]'],
+    ["geom", "ab-negdef", *_AB, "--w", _W],
+    ["geom", "ab-bayer", *_AB, "--G", '["1","0","1"]'],
+    ["geom", "ab-restrict", *_AB, "--w", _W, "--H", '["1","1","0"]'],
+    ["walls", "hilb", "--m", "1"],
+    ["walls", "surface", "--v", '["1","0","-1"]', "--samples", "12"],
+    ["walls", "surface", "--v", '["1","0","-1"]', "--samples", "12", "--format", "csv"],
+    ["walls", "numerical", *_BOX],
+    ["walls", "numerical", *_BOX, "--format", "csv"],
+    ["walls", "plot", "--figure", "1"],
+    ["walls", "plot", "--figure", "4", "--format", "csv"],
+    ["restrict", "xi", "--roots", '["0","3"]', "--m", "1"],
+    ["restrict", "chain", "--roots", '["0","3","6"]', "--spec", '["1","1"]'],
+    ["restrict", "charge", "--s", '["-1","3"]', "--t", '["0","4"]', "--m", "1"],
+    ["selftest", "--criteria", "1"],
+]
+
+
+def _subparsers(parser):
+    """The choices of a parser's subcommand action: name -> parser ({} if none)."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+class TestEveryVerb:
+    def test_every_parser_verb_has_a_case(self):
+        verbs = set()
+        for command, parser in _subparsers(build_parser()).items():
+            verbs |= {(command, verb) for verb in _subparsers(parser)} or {(command, None)}
+        covered = {(argv[0], argv[1] if (argv[0], argv[1]) in verbs else None)
+                   for argv in VERB_CASES}
+        assert len(verbs) > 20 and covered == verbs
+
+    @pytest.mark.parametrize("argv", VERB_CASES, ids=" ".join)
+    def test_case_prints_one_document(self, argv):
+        code, text = run_capture(argv)
+        assert code == 0, text
+        if "csv" in argv:
+            assert text.startswith("# {") and text.count("coord1,coord2,residual") == 1
+        elif argv[:2] == ["walls", "plot"]:
+            assert text.startswith('<?xml version="1.0"') and text.count("<svg") == 1
+        else:
+            assert text.endswith("\n") and text.count("\n") == 1
+            doc = json.loads(text)
+            assert "result" in doc and "error" not in doc
+
+    def test_ab_twist(self):
+        code, doc = run_json(["geom", "ab-twist", *_AB, "--G", '["1","0","1"]'])
+        assert doc["result"]["twisted"] == ["1", ["2", "1", "1"], "1/2"]
 
 
 class TestSelftest:

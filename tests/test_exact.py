@@ -351,6 +351,31 @@ class TestInertia:
             seen.add(want)
         assert len(seen) > 60
 
+    def test_float_is_decided_at_its_binary_value(self):
+        # a float matrix is judged by the exact signs of its binary values:
+        # products that are singular or semidefinite only up to rounding, such
+        # as v v^T with v = (0.1, 0.3), get the inertia of their Fraction copy
+        rng = random.Random(22)
+        seen = set()
+        for trial in range(300):
+            n = rng.randint(1, 5)
+            vecs = [[rng.choice((0.1, 0.3, -0.7, rng.uniform(-3, 3))) for _ in range(n)]
+                    for _ in range(rng.randint(0, n))]
+            w = [rng.choice((-1.0, 1.0, 0.3)) for _ in vecs]
+            g = [[sum(c * v[i] * v[j] for c, v in zip(w, vecs)) + 0.0 for j in range(n)]
+                 for i in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    g[i][j] = g[j][i]
+            exact = [[F(x) for x in row] for row in g]
+            want = inertia_congruence(exact)
+            assert inertia(g) == want, g
+            assert is_negative_definite(g) == all(
+                (m if k % 2 == 0 else -m) > 0
+                for k, m in enumerate(_leading_minors(exact), start=1))
+            seen.add(want)
+        assert len(seen) > 10
+
 
 class TestExactSqrt:
     def test_perfect(self):

@@ -1,10 +1,13 @@
-"""Production modules never import the oracles.
+"""Production modules never import the oracles, and numpy stays at its boundary.
 
 ``redstab.oracles`` holds the brute-force cross-checks and the exact routines
 only they use (the Sylvester resultant, Lagrange interpolation, the
 dispatching determinant).  Every other module, apart from ``selftest``, which
-runs the oracles, must compute without them; the check reads each module's
-imports with ``ast``, those inside functions included.
+runs the oracles, must compute without them.  Linear algebra is exact, so
+numpy enters only where floats are computed: the float root solver and pencil
+sampling (``interlace``), the float member pairings (``quadform``), and the
+seeded generators of ``selftest`` and ``oracles``.  The checks read each
+module's imports with ``ast``, those inside functions included.
 """
 
 import ast
@@ -15,6 +18,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "redstab"
 PRODUCTION = sorted(p for p in SRC.glob("*.py") if p.name not in ("oracles.py", "selftest.py"))
 ORACLES = {".oracles", "redstab.oracles"}
+NUMPY_MODULES = {"interlace", "quadform", "selftest", "oracles"}
 
 
 def _imported_modules(tree):
@@ -48,3 +52,10 @@ def test_detector_sees_each_form():
                 "def f():\n    from . import oracles\n"):
         assert set(_imported_modules(ast.parse(src))) & ORACLES, src
     assert not set(_imported_modules(ast.parse("from . import exact\nimport numpy"))) & ORACLES
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_numpy_only_at_its_boundary(path):
+    names = set(_imported_modules(ast.parse(path.read_text(), filename=str(path))))
+    uses_numpy = any(name == "numpy" or name.startswith("numpy.") for name in names)
+    assert not uses_numpy or path.stem in NUMPY_MODULES, f"{path.name} imports numpy"

@@ -15,7 +15,7 @@ from redstab.errors import (
     SingularForm,
     WrongSignature,
 )
-from redstab.exact import integer_scaled, is_negative_definite, mat_mul, nullspace
+from redstab.exact import integer_scaled, inv, is_negative_definite, mat_mul, nullspace
 from redstab.interlace import PLUS_INFINITY, Pencil, Polynomial, RootTuple, roots_to_poly
 from redstab.quadform import (
     QuadraticForm,
@@ -194,6 +194,27 @@ class TestQTilde:
         from redstab.exact import is_negative_definite
         ker = kernel_of_line(line)
         assert is_negative_definite([[Q.pair(u, v) for v in ker] for u in ker])
+
+    @pytest.mark.parametrize("s, t, alpha", [
+        (("-23/4", "-81/16", "-139/32", "-5/2", "-5/8"), ("-21/4", "-9/2", "-13/4", "-5/4", "0"),
+         1024),
+        (("-23/4", "-29/8", "-47/32", "-1/8", "15/8"), ("-4", "-3", "-5/4", "1/4", "7/2"),
+         262144),
+        (("-19/4", "-61/16", "-99/32", "9/8", "157/32"), ("-4", "-7/2", "-1/4", "5/2", "21/4"),
+         8192),
+        (("-23/4", "-41/8", "-67/16", "-25/8", "-15/8"),
+         ("-21/4", "-19/4", "-13/4", "-9/4", "-3/2"), 1048576),
+    ])
+    def test_float_line_finds_the_exact_alpha(self, s, t, alpha):
+        # float copies of exact lines that need a large alpha: the kernel Gram
+        # is judged at its binary value, so alpha does not scale rounding noise
+        # past the lower form
+        exact = Pencil.from_tuples(tuple(map(F, s)), tuple(map(F, t)))
+        assert q_tilde(exact).meta["alpha"] == alpha
+        line = Pencil.from_tuples(tuple(float(F(x)) for x in s), tuple(float(F(x)) for x in t))
+        Q = q_tilde(line)
+        assert Q.meta["alpha"] == alpha
+        assert verify_support(Q, line).ok
 
     def test_inertia_two_nminusone(self):
         for n in (2, 3, 4, 5):
@@ -537,6 +558,21 @@ class TestDualForm:
         with pytest.raises(SingularForm):
             dual_form(QuadraticForm(((F(0), F(0)), (F(0), F(0)))))
 
+    def test_float_gram_is_the_rounded_exact_inverse(self):
+        # a float Gram is inverted at its binary values and each entry rounded
+        # once, so the dual Gram is symmetric
+        rng = random.Random(22)
+        for _ in range(200):
+            n = rng.randint(3, 5)
+            g = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = rng.uniform(-5, 5)
+            want = inv([[F(x) for x in row] for row in g])
+            got = dual_form(QuadraticForm(g)).gram
+            assert got == tuple(tuple(float(x) for x in row) for row in want)
+            assert all(type(x) is float for row in got for x in row)
+
 
 class TestInWQ:
     def test_interlaced_charge_in_cone(self):
@@ -569,6 +605,26 @@ class TestInWQ:
         Z = CentralCharge(reduced_charge(RT(F(0), F(2), F(4))),
                           reduced_charge(RT(F(1), F(3), F(5))))
         assert in_WQ(Z, Q)
+
+    def test_float_copy_equals_exact_verdict(self):
+        # float copies of a q_tilde form and of a charge get the exact verdict:
+        # Z spanning the form's line, with its real part negated, and with its
+        # real part the charge of a random tuple u
+        rng = random.Random(9)
+        verdicts = []
+        for n in (2, 3, 3, 4, 4, 5):
+            xs = sorted(F(x, 4) for x in rng.sample(range(-40, 40), 2 * n))
+            s, t = RT(*xs[0::2]), RT(*xs[1::2])
+            u = RT(*sorted(F(x, 4) for x in rng.sample(range(-40, 40), n)))
+            Q = q_tilde(Pencil.from_tuples(s, t))
+            Qf = QuadraticForm(tuple(tuple(float(x) for x in row) for row in Q.gram))
+            for real in (reduced_charge(s), reduced_charge(s).scaled(-1), reduced_charge(u)):
+                Z = CentralCharge(real, reduced_charge(t))
+                Zf = CentralCharge(*(ReducedCharge(tuple(float(w) for w in part.weights))
+                                     for part in (Z.real, Z.imag)))
+                verdicts.append(in_WQ(Z, Q))
+                assert in_WQ(Zf, Qf) == verdicts[-1]
+        assert set(verdicts) == {False, True}
 
 
 def _model_form(rho, big_d):
