@@ -665,8 +665,7 @@ class DeformReport:
 
     @property
     def ok(self) -> bool:
-        """Certified segment and no failed cone sample; with ``upper_samples``
-        0 (the tries budget spent outside neg(out)) it is the certificate alone."""
+        """Certified segment and no failed cone sample."""
         return self.lower_certified and not self.upper_failures
 
 
@@ -674,18 +673,19 @@ def deform_form(h, f1, f2, Q: QuadraticForm, d, N,
                 samples: int = 2000, seed: int = 0):
     """Deformation of a support form along the segment of kernels of f1 + t f2.
 
-    Builds the form D1~ x0^2 + D2~ x1 (x1 + N x2) - sum_(k>=3) x_k^2
-    - eps (x1^2 + (x1 + N x2)^2) in the adapted coordinates x = W v (rows h,
-    f1, f2 first) with the construction's parameter choices, pulled back to
+    In the adapted coordinates x = W v (rows h, f1, f2 first) Q reads
+    g_hat = [[A, B], [B^T, C]], split after x1, and Ker(h, f1) is x0 = x1 = 0:
+    the hypotheses are C < 0 and (Haynsworth) A - B C^-1 B^T > 0.  Builds the
+    form D1~ x0^2 + D2~ x1 (x1 + N x2) - sum_(k>=3) x_k^2 - eps (x1^2
+    + (x1 + N x2)^2) with the construction's parameter choices, pulled back to
     lattice coordinates, and checks its two cone containments.  On
     Ker(h, f1 + t f2), x0 = 0 and x1 = -t x2, where the form is
     x2^2 p(t) - sum_(k>=3) x_k^2; p < 0 on t in [0, N] is decided exactly
-    (``lower_certified``).  neg(out) inside M_d union neg(Q) is sampled on
-    integer vectors round(10^4 x), x standard normal, with at most
-    40 * samples tries: a thin negative cone can leave few samples, or none.
+    (``lower_certified``).  neg(out) inside M_d union neg(Q) is sampled at
+    ``samples`` points of neg(out).
 
-    Returns (QuadraticForm, DeformReport); raises AssumptionViolated when
-    the hypotheses fail.
+    Returns (QuadraticForm, DeformReport); raises AssumptionViolated when a
+    hypothesis fails: h, f1, f2 independent, then C < 0, then the signature.
     """
     h, f1, f2 = (tuple(map(Fraction, w)) for w in (h, f1, f2))
     rho = len(h)
@@ -693,52 +693,41 @@ def deform_form(h, f1, f2, Q: QuadraticForm, d, N,
         raise AssumptionViolated("dimension mismatch")
     if not (d > 0 and N > 0):
         raise AssumptionViolated("need d > 0 and N > 0")
-    Q = QuadraticForm(tuple(tuple(map(Fraction, row)) for row in Q.gram))
     d, N = Fraction(d), Fraction(N)
-    if Q.inertia() != (2, rho - 2, 0):
-        raise AssumptionViolated(f"form must have signature (2, {rho - 2})")
-
     w_rows = _complete_basis([list(h), list(f1), list(f2)], rho)
     if w_rows is None:
         raise AssumptionViolated("h, f1, f2 must be linearly independent")
 
-    ker = nullspace([list(h), list(f1)])
-    restricted = _restricted_gram(Q, ker)
-    if not is_negative_definite(restricted):
-        raise AssumptionViolated("Q must be negative definite on Ker h /\\ Ker f1")
-
     w_inv = inv(w_rows)
-    # Q in adapted coordinates x = W v
-    g_hat = mat_mul(_transpose(w_inv), mat_mul([list(r) for r in Q.gram], w_inv))
+    gram = [[Fraction(x) for x in row] for row in Q.gram]
+    g_hat = mat_mul(list(zip(*w_inv)), mat_mul(gram, w_inv))
+    if not is_negative_definite([row[2:] for row in g_hat[2:]]):
+        raise AssumptionViolated("Q must be negative definite on Ker h /\\ Ker f1")
+    (s00, s01), (_, s11) = _schur(g_hat, 0)
+    if not (s00 > 0 and s00 * s11 > s01 * s01):
+        raise AssumptionViolated(f"form must have signature (2, {rho - 2})")
     big_d, mu = _model_cone_parameters(g_hat, rho)
 
     eps = min(Fraction(1, 2) / (N * N), Fraction(1, 10 ** 6))
     d2t = big_d + 1
     d1t = (N * N * (big_d + 1) ** 2 / 4 - 1) / d + big_d + 1
-    ghat_tilde = [[Fraction(0)] * rho for _ in range(rho)]
+    g11, g12, g22 = d2t - 2 * eps, N * d2t / 2 - eps * N, -eps * N * N
+    ghat_tilde = [[Fraction(-int(i == j)) for j in range(rho)] for i in range(rho)]
     ghat_tilde[0][0] = d1t
-    ghat_tilde[1][1] = d2t - 2 * eps
-    ghat_tilde[1][2] = ghat_tilde[2][1] = N * d2t / 2 - eps * N
-    ghat_tilde[2][2] = -eps * N * N
-    for k in range(3, rho):
-        ghat_tilde[k][k] = Fraction(-1)
-    gram = mat_mul(_transpose(w_rows), mat_mul(ghat_tilde, w_rows))
+    ghat_tilde[1][1:3], ghat_tilde[2][1:3] = [g11, g12], [g12, g22]
+    gram = mat_mul(list(zip(*w_rows)), mat_mul(ghat_tilde, w_rows))
     out = QuadraticForm(tuple(tuple(row) for row in gram),
                         {"construction": "deform", "D": big_d, "mu": mu,
                          "D1": d1t, "D2": d2t, "eps": eps, "N": N, "d": d})
-    if out.inertia() != (2, rho - 2, 0):
+    # ghat_tilde is D1~ (+) [[g11, g12], [g12, g22]] (+) (-I), and g22 < 0
+    if not (d1t > 0 and g11 * g22 < g12 * g12):
         raise AssumptionViolated("deformed form lost signature (2, rho-2)")
 
     # p(t) < 0 on [0, N]: at both ends, and at the vertex of a concave p
-    g11, g12, g22 = ghat_tilde[1][1], ghat_tilde[1][2], ghat_tilde[2][2]
     ts = [Fraction(0), N] + ([g12 / g11] if g11 < 0 and 0 < g12 / g11 < N else [])
     lower = all((g11 * t - 2 * g12) * t + g22 < 0 for t in ts)
-    n_upper, upper_fail = _deform_verify(out, Q, h, f1, f2, d, samples, seed)
+    n_upper, upper_fail = _deform_verify(ghat_tilde, g_hat, w_rows, w_inv, d, samples, seed)
     return out, DeformReport(lower, n_upper, upper_fail, dict(out.meta))
-
-
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 def _complete_basis(rows, width):
@@ -757,63 +746,74 @@ def _complete_basis(rows, width):
             + [[Fraction(int(i == c - k)) for i in range(width)] for c in pivots[k:]])
 
 
-def _model_cone_parameters(g_hat, rho):
-    """Smallest doubling D with neg(model_D) inside neg(Q), via mu Q_model - Q >= 0.
+def _schur(g_hat, shift):
+    """A - B (C + shift I)^-1 B^T for g_hat = [[A, B], [B^T, C]] split after x1."""
+    c_inv = inv([[x + shift * (i == j) for j, x in enumerate(row[2:])]
+                 for i, row in enumerate(g_hat[2:])])
+    y = [_apply(c_inv, row[2:]) for row in g_hat[:2]]
+    return [[g_hat[i][j] - _dot(g_hat[i][2:], y[j]) for j in range(2)] for i in range(2)]
 
-    The model's negative block spans the adapted coordinates 2..rho-1 (the
-    kernel of h and f1), where Q is negative definite by hypothesis; mu is
-    shrunk until C + mu I is strictly negative definite there.
+
+def _model_cone_parameters(g_hat, rho):
+    """Smallest doubling D with neg(model_D) inside neg(Q), via mu model_D - g_hat >= 0.
+
+    model_D = diag(D, D, -1, ..., -1), and mu is halved until C + mu I < 0
+    (C < 0 by hypothesis, so this ends).  The lower block -(C + mu I) of
+    mu model_D - g_hat is then positive definite, so the whole is
+    semidefinite iff mu D I - T is, where T = A - B (C + mu I)^-1 B^T: two
+    diagonal entries and a determinant per rung.
     """
     mu = Fraction(1)
-    for _ in range(200):
-        if is_negative_definite([[g_hat[i][j] + (mu if i == j else 0)
-                                  for j in range(2, rho)] for i in range(2, rho)]):
-            break
+    while not is_negative_definite([[g_hat[i][j] + (mu if i == j else 0)
+                                     for j in range(2, rho)] for i in range(2, rho)]):
         mu /= 2
-    else:
-        raise AssumptionViolated("could not fit the model cone (lower block)")
+    (t00, t01), (_, t11) = _schur(g_hat, mu)
     big_d = Fraction(1)
     for _ in range(120):
-        diff = [[mu * _model_entry(i, j, big_d, rho) - g_hat[i][j]
-                 for j in range(rho)] for i in range(rho)]
-        p, n, z = inertia(diff)
-        if n == 0:
+        a, c = mu * big_d - t00, mu * big_d - t11
+        if a >= 0 and c >= 0 and a * c >= t01 * t01:
             return big_d, mu
         big_d *= 2
     raise AssumptionViolated("could not fit the model cone (doubling exhausted)")
 
 
-def _model_entry(i, j, big_d, rho):
-    if i != j:
-        return Fraction(0)
-    return big_d if i < 2 else Fraction(-1)
+def _deform_verify(ghat_tilde, g_hat, w_rows, w_inv, d, samples, seed):
+    """(samples, failures) of neg(out) inside M_d union neg(Q), in adapted coordinates.
 
-
-def _deform_verify(out: QuadraticForm, Q: QuadraticForm, h, f1, f2, d, samples, seed):
-    """(samples in neg(out), failures) of the cone containment, on integers.
-
-    ``out`` and Q are each scaled to one integer Gram, and (h, f1, f2) to one
-    denominator: positive scales keep every sign the test reads.
+    A draw is x = W v, v standard normal.  Where out(x) >= 0, the positive
+    part of out (x0 and the positive eigendirection of the (x1, x2) block) is
+    scaled by sqrt(U neg / pos), U uniform in [0, 1), into neg(out).  x is
+    decided on integers at its binary value: out(x) < 0 again (else it is not
+    counted), M_d on x0, x1, x2 (h v, f1 v, f2 v) and neg(Q) on g_hat.  A
+    failure is reported as the lattice vector W^-1 x.
     """
     rng = np.random.default_rng(seed)
-    rho = len(h)
-    g_out, g_q, hf = ([ints[i:i + rho] for i in range(0, len(ints), rho)]
-                      for ints, _ in (integer_scaled(x for row in m for x in row)
-                                      for m in (out.gram, Q.gram, (h, f1, f2))))
+    rho = len(w_rows)
+    w, d1 = np.array(w_rows, dtype=float), float(ghat_tilde[0][0])
+    lam, vecs = np.linalg.eigh(np.array([row[1:3] for row in ghat_tilde[1:3]], dtype=float))
+    g_out, g_q = ([ints[i:i + rho] for i in range(0, len(ints), rho)]
+                  for ints, _ in (integer_scaled(x for row in m for x in row)
+                                  for m in (ghat_tilde, g_hat)))
     upper_fail = []
     n_upper = 0
-    for _ in range(40 * samples):
-        v = [round(x) for x in (10 ** 4 * rng.standard_normal(rho)).tolist()]
+    for _ in range(samples):
+        x = w @ rng.standard_normal(rho)
+        y_neg, y_pos = vecs.T @ x[1:3]
+        pos = d1 * x[0] ** 2 + lam[1] * y_pos ** 2
+        neg = x[3:] @ x[3:] - lam[0] * y_neg ** 2
+        if pos >= neg:
+            s = math.sqrt(rng.uniform() * neg / pos)
+            x[0] *= s
+            x[1:3] += (s - 1) * y_pos * vecs[:, 1]
+        v, den = integer_scaled(x.tolist())
         if not _dot(v, _apply(g_out, v)) < 0:
             continue
-        a, b1, b2 = _apply(hf, v)
+        a, b1, b2 = v[:3]
         in_md = (b1 * b2 < 0 and d.denominator * a * a < d.numerator * b1 * b1
                  and d.denominator * a * a < d.numerator * b2 * b2)
         if not (in_md or _dot(v, _apply(g_q, v)) < 0):
-            upper_fail.append([x / 10 ** 4 for x in v])
+            upper_fail.append([c / den for c in _apply(w_inv, v)])
         n_upper += 1
-        if n_upper == samples:
-            break
     return n_upper, upper_fail
 
 

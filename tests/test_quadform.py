@@ -15,7 +15,14 @@ from redstab.errors import (
     SingularForm,
     WrongSignature,
 )
-from redstab.exact import integer_scaled, inv, is_negative_definite, mat_mul, nullspace
+from redstab.exact import (
+    inertia,
+    integer_scaled,
+    inv,
+    is_negative_definite,
+    mat_mul,
+    nullspace,
+)
 from redstab.interlace import PLUS_INFINITY, Pencil, Polynomial, RootTuple, roots_to_poly
 from redstab.quadform import (
     QuadraticForm,
@@ -677,6 +684,22 @@ def _segment_values(out, h, f1, f2, n_val):
     return values
 
 
+def _adapted_gram(Q, h, f1, f2):
+    """Q in the adapted coordinates x = W v that deform_form builds (rows h, f1, f2 first)."""
+    w_inv = inv(quadform._complete_basis([list(h), list(f1), list(f2)], len(h)))
+    return mat_mul([list(c) for c in zip(*w_inv)], mat_mul([list(r) for r in Q.gram], w_inv))
+
+
+def _in_md(v, h, f1, f2, d):
+    """v in M_d: f1(v) f2(v) < 0, h(v)^2 < d f1(v)^2 and h(v)^2 < d f2(v)^2."""
+    a, b1, b2 = (sum(x * y for x, y in zip(w, v)) for w in (h, f1, f2))
+    return b1 * b2 < 0 and a * a < d * b1 * b1 and a * a < d * b2 * b2
+
+
+KERNEL_MESSAGE = "negative definite on Ker h"
+SIGNATURE_MESSAGE = "form must have signature"
+
+
 class TestDeformForm:
     def test_model_case_containments(self):
         rho = 5
@@ -747,3 +770,88 @@ class TestDeformForm:
         f1 = tuple(F(int(i == 1)) for i in range(rho))
         with pytest.raises(AssumptionViolated):
             deform_form(h, f1, tuple(2 * x for x in f1), Qm, F(1, 2), F(3))
+
+    @pytest.mark.parametrize("shifts, message", [
+        ({(0, 0): -6}, SIGNATURE_MESSAGE),        # Q - 6 h h^T: signature (1, 2)
+        ({(2, 2): 2}, KERNEL_MESSAGE),            # Q + 2 f2 f2^T: signature (2, 1) kept
+        ({(0, 0): 4, (2, 2): 2}, KERNEL_MESSAGE),    # signature (3, 0) too: the kernel is named
+    ])
+    def test_hypothesis_failures(self, shifts, message):
+        g = [[F(1), F(0), F(2)], [F(0), F(1), F(0)], [F(2), F(0), F(-1)]]
+        h, f1, f2 = (tuple(F(int(i == k)) for i in range(3)) for k in range(3))
+        deform_form(h, f1, f2, QuadraticForm(tuple(map(tuple, g))), F(1, 2), F(3))
+        for (i, j), shift in shifts.items():
+            g[i][j] += shift
+        with pytest.raises(AssumptionViolated, match=message):
+            deform_form(h, f1, f2, QuadraticForm(tuple(map(tuple, g))), F(1, 2), F(3))
+
+    def test_hypotheses_match_direct_route(self):
+        # Q + lam w w^T on the corpus, w in (h, f1, f2, random), against the
+        # signature and the restricted Gram on the kernel of h and f1; a form
+        # failing both names the kernel hypothesis
+        rng = random.Random(23)
+        verdicts = set()
+        for h, f1, f2, Q, d, n_val in _deform_corpus(60):
+            rho = len(h)
+            for w in (h, f1, f2, [F(rng.randint(-3, 3)) for _ in range(rho)]):
+                lam = F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.choice([1, 4]))
+                P = QuadraticForm(tuple(tuple(Q.gram[i][j] + lam * w[i] * w[j] for j in range(rho))
+                                        for i in range(rho)))
+                kernel_ok = is_negative_definite(
+                    quadform._restricted_gram(P, nullspace([list(h), list(f1)])))
+                signature_ok = P.inertia() == (2, rho - 2, 0)
+                verdicts.add((kernel_ok, signature_ok))
+                if kernel_ok and signature_ok:
+                    deform_form(h, f1, f2, P, d, n_val, samples=1)
+                    continue
+                with pytest.raises(AssumptionViolated,
+                                   match=SIGNATURE_MESSAGE if kernel_ok else KERNEL_MESSAGE):
+                    deform_form(h, f1, f2, P, d, n_val, samples=1)
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_model_cone_reference(self):
+        # D is the smallest doubling with mu model_D - Q >= 0 in adapted
+        # coordinates (a rho x rho inertia, monotone in D), and mu the largest
+        # halving with C + mu I < 0 on the kernel block
+        for h, f1, f2, Q, d, n_val in _deform_corpus(60):
+            rho = len(h)
+            out, _ = deform_form(h, f1, f2, Q, d, n_val, samples=1)
+            assert out.inertia() == (2, rho - 2, 0)
+            g_hat = _adapted_gram(Q, h, f1, f2)
+            mu, big_d = out.meta["mu"], out.meta["D"]
+
+            def negatives(big_d):
+                return inertia([[mu * (big_d if i < 2 else -1) * (i == j) - g_hat[i][j]
+                                 for j in range(rho)] for i in range(rho)])[1]
+
+            def kernel_block_negative(mu):
+                return is_negative_definite([[g_hat[i][j] + mu * (i == j) for j in range(2, rho)]
+                                             for i in range(2, rho)])
+
+            assert negatives(big_d) == 0 and (big_d == 1 or negatives(big_d / 2) > 0)
+            assert kernel_block_negative(mu) and (mu == 1 or not kernel_block_negative(2 * mu))
+
+    def test_every_cone_sample_in_neg_out(self):
+        # input 7 (rho = 6, D = 2^23) has a thin neg(out) that plain lattice
+        # draws missed 200 times out of 200
+        for k, (h, f1, f2, Q, d, n_val) in enumerate(_deform_corpus(60)):
+            _, rep = deform_form(h, f1, f2, Q, d, n_val, samples=200, seed=k)
+            assert rep.upper_samples == 200 and rep.ok, k
+
+    def test_planted_model_cone_defect_is_sampled(self, monkeypatch):
+        # D = 1 with 64 mu widens neg(out) beyond M_d union neg(Q); every
+        # reported failure is an exact lattice counterexample
+        fitted = quadform._model_cone_parameters
+        monkeypatch.setattr(quadform, "_model_cone_parameters",
+                            lambda g_hat, rho: (F(1), 64 * fitted(g_hat, rho)[1]))
+        kept = caught = 0
+        for k, (h, f1, f2, Q, d, n_val) in enumerate(_deform_corpus(60)):
+            try:
+                out, rep = deform_form(h, f1, f2, Q, d, n_val, samples=200, seed=k)
+            except AssumptionViolated:
+                continue
+            kept += 1
+            caught += bool(rep.upper_failures)
+            for v in rep.upper_failures[:3]:
+                assert out(v) < 0 and Q(v) >= 0 and not _in_md(v, h, f1, f2, d)
+        assert kept == 59 and caught >= 40, (kept, caught)
