@@ -9,6 +9,8 @@ f_t is the monic root polynomial (f_t / -(n-1)! when the last entry is +inf),
 so all of the interlacing calculus transfers to charges verbatim.  That
 identity is how reduced_charge computes B_t, exactly on rational tuples and
 to about 1e-15 relative on float tuples; no determinant is evaluated.
+Rational decompose reads its kernel check and coefficients (Lagrange's
+formula) from the same integer root product, with no twisted vector or solve.
 
 Note on the Hilbert-scheme display: with this normalization the identity
 B_t((1,0,0,-m)) = -m - t1*t2*t3/6 holds with constant exactly 1 (the raw
@@ -36,6 +38,7 @@ from .interlace import (
     roots_to_poly,
     sep_exceeds,
 )
+from .poly import integer_root_product
 
 VERDICT_ZERO_TOL = 1e-12     # |a_i| treated as zero in the sign verdict
 BOUNDARY_FLAG_TOL = 1e-8     # |a_i| below this flags a boundary case
@@ -244,39 +247,61 @@ def decompose(v, t) -> Decomposition:
     """Solve v = sum_i (-1)^i a_i gamma(t_i) and classify the sign pattern.
 
     Requires B_t(v) = 0 (exactly for rational data, else within the relative
-    kernel tolerance); raises NotInKernel otherwise.  The system is solved
-    exactly (exact.solve), a float system at its binary values, whose
-    coefficients are then rounded once.  On float data the sign verdict
-    treats |a_i| below 1e-12 as zero; entries below the boundary tolerance
-    are flagged but still classified.
+    kernel tolerance); raises NotInKernel otherwise.  Rational data take the
+    closed form of _exact_coeffs; a float system is solved exactly
+    (exact.solve) at its binary values, and its coefficients are rounded
+    once.  On float data the sign verdict treats |a_i| below 1e-12 as zero;
+    entries below the boundary tolerance are flagged but still classified.
     """
     t = t if isinstance(t, RootTuple) else RootTuple(tuple(t))
     n = t.n
     if len(v) != n + 1:
         raise AmbientMismatch("vector/tuple ambient mismatch")
+    if all_exact(t.finite) and all_exact(v):
+        return _classify(_exact_coeffs(v, t), True)
     B = reduced_charge(t)
     val = eval_charge(B, v)
-    exact = B.is_exact() and all_exact(v)
-    if exact:
-        if val != 0:
-            raise NotInKernel(f"B_t(v) = {val} != 0")
-    else:
-        scale = max((abs(float(x)) for x in v), default=0.0) * max(
-            abs(float(w)) for w in B.weights)
-        if abs(float(val)) > KERNEL_REL_TOL * max(scale, 1.0):
-            raise NotInKernel(f"B_t(v) = {val} beyond tolerance")
-    cols = [gamma(ti, n) for ti in t.entries]
-    signed = [tuple(((-1) ** (i + 1)) * x for x in col) for i, col in enumerate(cols)]
-    if t.has_infinity:
-        rows = list(range(n - 1)) + [n]
-    else:
-        rows = list(range(n))
+    scale = max((abs(float(x)) for x in v), default=0.0) * max(abs(float(w)) for w in B.weights)
+    if abs(float(val)) > KERNEL_REL_TOL * max(scale, 1.0):
+        raise NotInKernel(f"B_t(v) = {val} beyond tolerance")
+    signed = [[(-1) ** (i + 1) * x for x in gamma(ti, n)] for i, ti in enumerate(t.entries)]
+    rows = list(range(n - 1)) + [n] if t.has_infinity else list(range(n))
     a_mat = [[signed[j][r] for j in range(n)] for r in rows]
-    rhs = [v[r] for r in rows]
-    coeffs = solve(a_mat, rhs)
-    if not exact:
-        coeffs = [float(a) for a in coeffs]
-    return _classify(coeffs, exact)
+    return _classify([float(a) for a in solve(a_mat, [v[r] for r in rows])], False)
+
+
+def _exact_coeffs(v, t) -> list:
+    """decompose's coefficients on rational data, from one integer root product.
+
+    With the m finite t_i = p_i / D, v = w / E, F = prod (D x - p_j) and
+    y_k = k! w_k: B_t(v) = 0 iff sum_(k <= m) F_k y_k = 0, and rows 0..m-1 are
+    the transposed Vandermonde system sum_i c_i t_i^k = y_k / E in
+    c_i = (-1)^(i+1) a_i, solved by Lagrange's formula
+    c_i = sum_k Q_k y_k / (E prod_(j != i) (p_i - p_j)) with Q = F / (D x - p_i).
+    A +inf slot is row n: c = v_n - sum_i c_i R(t_i) / n!, R = x^n mod F.
+    """
+    p, den = integer_scaled(t.finite)
+    w, e = integer_scaled(v)
+    f, m = integer_root_product(p, den), len(p)
+    y = [math.factorial(k) * w[k] for k in range(m + 1)]
+    if sum(a * b for a, b in zip(f, y)):
+        raise NotInKernel(f"B_t(v) = {eval_charge(reduced_charge(t), v)} != 0")
+    coeffs = []
+    for i, pi in enumerate(p):
+        q = num = 0
+        for k in range(m, 0, -1):
+            # F = (D x - p_i) Q from the top: Q_(k-1) = (F_k + p_i Q_k) / D, exactly
+            q = (f[k] + pi * q) // den
+            num += q * y[k - 1]
+        prod = e * math.prod(pi - pj for pj in p if pj != pi)
+        coeffs.append(Fraction(num if i % 2 else -num, prod))
+    if t.has_infinity:
+        # F_m^2 R_k = F_(m-1) F_k - F_m F_(k-1), and F_m = D^m
+        n, top = m + 1, f[m]
+        num = math.factorial(n) * top * top * w[n] - sum(
+            (f[m - 1] * f[k] - top * (f[k - 1] if k else 0)) * y[k] for k in range(m))
+        coeffs.append(Fraction(num if m % 2 else -num, e * math.factorial(n) * top * top))
+    return coeffs
 
 
 def _classify(coeffs, exact) -> Decomposition:

@@ -65,8 +65,11 @@ def coerce(values) -> tuple:
     Fraction; otherwise the int and Fraction members become floats.
     """
     values = tuple(values)
-    if set(map(type, values)) in _SETTLED:
+    kinds = set(map(type, values))
+    if kinds in _SETTLED:
         return values
+    if kinds == {int}:
+        return tuple(map(Fraction, values))
     if all(is_exact(x) or x is None or x == inf for x in values):
         return tuple(Fraction(x) if isinstance(x, int) else x for x in values)
     return tuple(float(x) if is_exact(x) else x for x in values)

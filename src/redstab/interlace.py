@@ -40,6 +40,7 @@ restrict_charge and stabilizing_shift; sep_pencil samples the line.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -90,8 +91,8 @@ class RootTuple:
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise ValueError("root tuple needs at least one entry")
-        # a -inf or +inf elsewhere fails the strict increase
-        if entries[0] == -PLUS_INFINITY:
+        # a -inf or +inf elsewhere fails the strict increase; a Fraction is finite
+        if type(entries[0]) is not Fraction and entries[0] == -PLUS_INFINITY:
             raise ValueError("-inf is not a valid entry")
         for a, b in zip(entries, entries[1:]):
             if not a < b:
@@ -103,7 +104,7 @@ class RootTuple:
 
     @property
     def has_infinity(self) -> bool:
-        return self.entries[-1] == PLUS_INFINITY
+        return type(self.entries[-1]) is not Fraction and self.entries[-1] == PLUS_INFINITY
 
     @property
     def finite(self) -> tuple:

@@ -7,9 +7,10 @@ The hot kernels ``poly_from_roots`` and ``poly_shift_arg`` run on integer
 numerators over one common denominator (exact.integer_scaled) when their
 input is exact, and form one Fraction per coefficient at the end; on float
 input they keep the float operation order of the plain product and Horner
-loops.  ``integer_shift_difference`` (behind restrict's f(x) - f(x - m))
-and ``shift_wronskian`` return positive integer multiples of their
-polynomials.
+loops.  ``integer_root_product`` (behind exact ``poly_from_roots``,
+``charge.decompose`` and ``restrict.xi``), ``integer_shift_difference``
+(behind restrict's f(x) - f(x - m)) and ``shift_wronskian`` return positive
+integer multiples of their polynomials.
 
 The integer Horner value ``scaled_value``, the Sturm chain and its sign
 variations serve exact root certification (interlace) and the Sturm count of
@@ -68,12 +69,17 @@ def poly_from_roots(roots) -> tuple:
             coeffs = poly_mul(coeffs, (-r, 1))
         return coeffs
     ints, den = integer_scaled(roots)
+    scale = den ** len(ints)
+    return tuple(Fraction(c, scale) for c in integer_root_product(ints, den))
+
+
+def integer_root_product(ints, den) -> list:
+    """Integer coefficients of prod (den x - p) over p in ints, den^k times prod (x - p / den)."""
     out = [1]
     for p in ints:
         # (den x - p) * out: coefficient j is den out[j-1] - p out[j]
         out = [den * a - p * b for a, b in zip([0] + out, out + [0])]
-    scale = den ** len(ints)
-    return tuple(Fraction(c, scale) for c in out)
+    return out
 
 
 def poly_shift_arg(coeffs, m):

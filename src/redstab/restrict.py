@@ -6,8 +6,8 @@ lower; the separation hypothesis sep(t) > m makes f(x) and f(x - m)
 interlace, so the image keeps separation above m.  On charges the same move
 is composition with the pushforward matrix M (M gamma_(n-1)(x) = gamma_n(x)
 - gamma_n(x - m)); the composed parts are m times the charges of the
-restricted members of the line's generators.  Both go through
-_restricted_member, the one construction of f(x) - f(x - m).
+restricted members of the line's generators.  Both build f(x) - f(x - m)
+by _restricted_member; exact xi calls its integer part on the root product.
 
 The map is onto the separation-above-m tuples one ambient lower only for
 small ambients (up to 4); no inverse or section is provided here, and none
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 from .charge import CentralCharge, ReducedCharge, charge_of_poly, split_central
 from .errors import DecompositionFailed, InvalidAmbient, SepViolation
-from .exact import all_exact, coerce, is_exact
+from .exact import all_exact, coerce, integer_scaled, is_exact
 from .interlace import Polynomial, RootTuple, roots_to_poly, sep_exceeds
-from .poly import integer_shift_difference
+from .poly import integer_root_product, integer_shift_difference
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,10 @@ class RestrictionSpec:
 def xi(t, m) -> RootTuple:
     """Restriction of a parameter tuple by a degree-m section.
 
-    The roots of the restricted member of roots_to_poly(t), at ambient n-1.
-    Requires sep(t) > m strictly.  An infinite last entry makes f and its
-    restricted member drop degree, so the output keeps the +inf slot.
+    The roots of the restricted member of roots_to_poly(t), at ambient n-1,
+    built on exact t and m from poly.integer_root_product with no Fraction in
+    between.  Requires sep(t) > m strictly.  An infinite last entry makes f
+    and its restricted member drop degree, so the output keeps the +inf slot.
     """
     t = t if isinstance(t, RootTuple) else RootTuple(tuple(t))
     if t.n < 2:
@@ -51,6 +52,9 @@ def xi(t, m) -> RootTuple:
         raise SepViolation(f"degree must be positive, got {m}")
     if not t.sep() > m:
         raise SepViolation(f"sep(t) = {t.sep()} must exceed m = {m}")
+    if all_exact(t.finite) and is_exact(m):
+        diff = integer_shift_difference(integer_root_product(*integer_scaled(t.finite)), m)
+        return Polynomial(tuple(diff[: t.n]), t.n - 1).roots()
     return _restricted_member(roots_to_poly(t), m).roots()
 
 
@@ -136,8 +140,8 @@ def _restricted_member(f: Polynomial, m) -> Polynomial:
     On exact f and m it has integer coefficients
     (poly.integer_shift_difference); otherwise coefficient j is the float
     sum -sum_(k > j) f_k C(k, j) (-m)^(k - j), free of the cancellation in
-    f(x) - f(x - m).  xi reads only its roots; restrict_charge takes it
-    monic to compare charges.
+    f(x) - f(x - m).  Float xi reads only its roots; restrict_charge takes
+    it monic to compare charges.
     """
     if all_exact(f.coeffs) and is_exact(m):
         p = integer_shift_difference(f.coeffs, m)

@@ -1,6 +1,9 @@
+import importlib.util
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from redstab.charge import (
     reduced_charge,
 )
 from redstab.errors import AmbientMismatch, InKernelOfLine, NotInKernel
-from redstab.exact import rref
+from redstab.exact import rref, solve
 from redstab.interlace import (
     PLUS_INFINITY,
     Pencil,
@@ -304,6 +307,78 @@ class TestDecompose:
             verdicts.add(dec.verdict)
         assert verdicts == {ALL_NONNEG, ALL_NONPOS, MIXED}
         assert worst_exact <= worst_lu
+
+    def test_exact_equals_the_solve_reference(self):
+        # 1,200 seeded rational cases, n = 1..8: three in ten end in +inf, one
+        # in five is nudged off the kernel, and one in five has plain int entries
+        rng = random.Random(25)
+        counts = {"raised": 0, "inf": 0}
+        for _ in range(1200):
+            n = rng.randint(1, 8)
+            den = rng.choice((1, 2, 3, 4, 7, 12, 30))
+            t = sorted(F(x, den) for x in rng.sample(range(-60, 60), n))
+            if rng.random() < 0.3:
+                t[-1] = PLUS_INFINITY
+                counts["inf"] += 1
+            a = [F(rng.randint(-20, 20), rng.choice((1, 2, 5, 8))) for _ in range(n)]
+            cols = [gamma(x, n) for x in t]
+            v = [sum((-1) ** (i + 1) * a[i] * cols[i][r] for i in range(n)) for r in range(n + 1)]
+            if rng.random() < 0.2:
+                v[rng.randrange(n + 1)] += F(rng.randint(1, 5), 3)
+            if rng.random() < 0.2:
+                v = [int(x) if x.denominator == 1 else x for x in v]
+            want = _decompose_reference(v, RootTuple(tuple(t)))
+            if isinstance(want, NotInKernel):
+                with pytest.raises(NotInKernel) as exc:
+                    decompose(v, t)
+                assert str(exc.value) == str(want)
+                counts["raised"] += 1
+                continue
+            dec = decompose(v, t)
+            assert repr(dec.coeffs) == repr(tuple(want))
+            assert all(type(c) is F for c in dec.coeffs)
+            assert (dec.verdict, dec.boundary) == (charge._classify(want, True).verdict, False)
+        assert counts["raised"] > 150 and counts["inf"] > 300
+
+    def test_exact_route_is_closed_form(self, monkeypatch):
+        # on rational data the success path builds no twisted vector, solves
+        # no system and forms no charge
+        def forbidden(*args):
+            raise AssertionError("called on the exact route")
+
+        for name in ("gamma", "solve", "reduced_charge"):
+            monkeypatch.setattr(charge, name, forbidden)
+        assert decompose((F(-1), F(1), F(-1, 2)), RT(F(-1), F(2))).coeffs == (1, 0)
+        assert decompose((0, 0, 3), RT(F(0), PLUS_INFINITY)).coeffs == (0, 3)
+        assert decompose((F(0), F(5)), RT(PLUS_INFINITY)).coeffs == (-5,)
+
+    def test_float_equals_the_pinned_corpus(self):
+        # 400 float cases (tests/golden/make_decompose_float.py) keep their
+        # coefficients, verdicts, boundary flags and error messages byte for byte
+        make = _golden_script("make_decompose_float")
+        stored = make.PATH.read_text()
+        cases = json.loads(stored)["cases"]
+        assert len(cases) == 400
+        assert make.render([make.entry(e["t"], e["v"]) for e in cases]) == stored
+
+
+def _decompose_reference(v, t):
+    """exact.solve on the signed twisted-vector system, or the NotInKernel decompose raises."""
+    n = t.n
+    val = eval_charge(reduced_charge(t), v)
+    if val != 0:
+        return NotInKernel(f"B_t(v) = {val} != 0")
+    signed = [[(-1) ** (i + 1) * x for x in gamma(ti, n)] for i, ti in enumerate(t.entries)]
+    rows = list(range(n - 1)) + [n] if t.has_infinity else list(range(n))
+    return solve([[signed[j][r] for j in range(n)] for r in rows], [v[r] for r in rows])
+
+
+def _golden_script(name):
+    path = Path(__file__).resolve().parent / "golden" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestKernelParameter:

@@ -15,6 +15,7 @@ from redstab.charge import (
 )
 from redstab.errors import DecompositionFailed, InvalidAmbient, SepViolation
 from redstab.interlace import PLUS_INFINITY, Polynomial, RootTuple, roots_to_poly
+from redstab.oracles import reduced_charge_cofactors
 from redstab.restrict import (
     RestrictionSpec,
     _restricted_member,
@@ -103,6 +104,45 @@ def _fraction_difference(roots, m, length):
     diff = [f[j] - sum(f[k] * math.comb(k, j) * (-m) ** (k - j) for k in range(j, len(f)))
             for j in range(len(f) - 1)]
     return tuple(diff) + (F(0),) * (length - len(diff))
+
+
+class TestExactOutputsByRepr:
+    """xi, xi_multi and reduced_charge on 1,200 seeded rational tuples (n = 2..8,
+    a quarter ending in +inf) against other routes: the roots of the Fraction
+    difference, then the restricted member of roots_to_poly (float once a
+    root is irrational), and the cofactor determinants."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(2505)
+        for case in range(1200):
+            n = rng.randint(2, 8)
+            den = rng.choice((1, 2, 3, 7, 12, 30))
+            t = sorted(F(x, den) for x in rng.sample(range(-60, 60), n))
+            if case % 4 == 0:
+                t[-1] = PLUS_INFINITY
+            t = RT(*t)
+            gap = F(5) if t.sep() == PLUS_INFINITY else t.sep()
+            yield t, gap * F(rng.randint(1, 19), 20), gap * F(rng.randint(1, 9), 40)
+
+    @staticmethod
+    def same(got, want):
+        return repr(got) == repr(want) and list(map(type, got)) == list(map(type, want))
+
+    def test_xi_and_xi_multi(self):
+        for t, m1, m2 in self.cases():
+            once = Polynomial(_fraction_difference(t.finite, m1, t.n), t.n - 1).roots()
+            assert self.same(xi(t, m1).entries, once.entries)
+            if once.n < 2 or not once.sep() > m2:
+                with pytest.raises(InvalidAmbient if once.n < 2 else SepViolation):
+                    xi_multi(t, (m1, m2))
+                continue
+            twice = _restricted_member(roots_to_poly(once), m2).roots()
+            assert self.same(xi_multi(t, (m1, m2)).entries, twice.entries)
+
+    def test_reduced_charge(self):
+        for t, _, _ in self.cases():
+            assert self.same(reduced_charge(t).weights, reduced_charge_cofactors(t).weights)
 
 
 class TestXiMulti:
