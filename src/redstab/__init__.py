@@ -36,7 +36,6 @@ from .errors import (
     InKernelOfLine,
     InvalidAmbient,
     InvalidParams,
-    InvariantViolated,
     LatticeMismatch,
     NotDistinctRoots,
     NotInKernel,

@@ -16,7 +16,8 @@ One elimination, ``_eliminate`` (fraction-free Bareiss Gauss-Jordan on
 integer rows), serves all exact linear algebra: ``rref`` and through it
 ``solve``, ``inv``, ``nullspace`` and ``particular_solution``; the
 determinant ``bareiss_det`` (its last pivot); ``is_negative_definite`` (the
-pivots of the pass without row swaps, the leading minors); and ``inertia``,
+pivots of the pass without row swaps, the leading minors), both on the
+Gaussian pass that leaves the rows above each pivot; and ``inertia``,
 by Descartes' rule on the characteristic polynomial, which has only real
 roots and is monic, with n of its values from ``bareiss_det`` and its lower
 coefficients from an n-square ``solve``.  Float input runs the same
@@ -105,7 +106,7 @@ def exact_sqrt(x):
     return None
 
 
-def _eliminate(m, width, swap=True, carry=None):
+def _eliminate(m, width, swap=True, carry=None, jordan=True):
     """Fraction-free (Bareiss) Gauss-Jordan elimination of the integer rows m, in place.
 
     Pivots are sought column by column in the first ``width`` columns; later
@@ -123,6 +124,10 @@ def _eliminate(m, width, swap=True, carry=None):
     along with the rows), and a column without one is skipped.  Without
     swap, the pivots are the leading principal minors and a zero pivot ends
     the elimination.
+
+    Without jordan, only the rows below each pivot are updated (Bareiss
+    Gaussian elimination): the pivots and signs are the same, for callers
+    that read nothing else.
     """
     sign = prev = 1
     r = 0
@@ -143,8 +148,9 @@ def _eliminate(m, width, swap=True, carry=None):
         yield col, pivot, sign
         if not pivot:
             return
-        for i, row in enumerate(m):
+        for i in range(0 if jordan else r + 1, len(m)):
             if i != r:
+                row = m[i]
                 f = row[col]
                 m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, prow)]
         prev = pivot
@@ -165,7 +171,7 @@ def bareiss_det(rows):
         scale *= den
         m.append(ints)
     rank, pivot, sign = 0, 1, 1
-    for rank, (_, pivot, sign) in enumerate(_eliminate(m, n), start=1):
+    for rank, (_, pivot, sign) in enumerate(_eliminate(m, n, jordan=False), start=1):
         pass
     return Fraction(sign * pivot, scale) if rank == n else _ZERO
 
@@ -262,7 +268,7 @@ def is_negative_definite(gram):
         return True
     m = [integer_scaled(row)[0] for row in gram]
     return all((pivot if k % 2 else -pivot) > 0
-               for k, (_, pivot, _) in enumerate(_eliminate(m, len(m), swap=False)))
+               for k, (_, pivot, _) in enumerate(_eliminate(m, len(m), swap=False, jordan=False)))
 
 
 def inertia(gram):

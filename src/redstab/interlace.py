@@ -28,7 +28,9 @@ estimate (the scalar closed form at degree 2, eigenvalues above) is
 certified as a root correctly rounded by a sign change of f between its two
 half-ulp midpoints, evaluated by integer Horner (_rounded_roots); where that
 fails, a gcd and Sturm count decide and Sturm bisection isolates the roots
-(_isolated_roots).  So interlacing of exact members is exact too, and the
+(_isolated_roots).  A member built from roots known exactly (roots_to_poly,
+shift_pencil, stabilizing_shift) carries them, and roots() reads that same
+result off them.  So interlacing of exact members is exact too, and the
 Wronskian f'g - fg' decides it where their roots share a float.  The
 Wronskian of interlaced members has no real zero, so its value at 0,
 f_1 g_0 - f_0 g_1, fixes their orientation (left_interlaced, _lead).
@@ -187,10 +189,25 @@ class Polynomial:
 
     @cached_property
     def _certified_roots(self) -> RootTuple:
+        known = _known(self)
+        if known is not None and len(known) > 2:
+            try:    # correctly rounded, as _rounded_roots certifies them
+                known = tuple(float(r) + 0.0 for r in known)
+            except OverflowError:
+                known = None
+        if known is not None and all(a < b for a, b in zip(known, known[1:])):
+            return _pad_inf(known, self.ambient)
         return _extract_roots(self)
 
     def roots(self) -> RootTuple:
-        """Certified ordered roots; raises ComplexRoots / NotDistinctRoots."""
+        """Certified ordered roots; raises ComplexRoots / NotDistinctRoots.
+
+        A member that carries its exact roots (roots_to_poly on exact t,
+        shift_pencil's f(x + m), stabilizing_shift's padded f and (x + N) g)
+        reads them from that record: rational up to degree 2, correctly
+        rounded floats above, exactly what _extract_roots certifies; it
+        extracts when those floats are not strictly increasing or overflow.
+        """
         return self._certified_roots
 
     def is_member(self) -> bool:
@@ -217,9 +234,31 @@ def roots_to_poly(t: RootTuple, ambient=None) -> Polynomial:
     n = t.n if ambient is None else ambient
     if n < t.n:
         raise ValueError("ambient below tuple length")
-    coeffs = poly_from_roots(t.finite)
+    finite = t.finite
+    coeffs = poly_from_roots(finite)
     # pad with the coefficients' own zero, so the group is already coerced
-    return Polynomial(coeffs + (0 * coeffs[-1],) * (n + 1 - len(coeffs)), n)
+    f = Polynomial(coeffs + (0 * coeffs[-1],) * (n + 1 - len(coeffs)), n)
+    return _carry(f, finite) if type(coeffs[0]) is Fraction else f
+
+
+def _carry(f: Polynomial, roots) -> Polynomial:
+    """f with a record of its exact finite roots, increasing (None: no record), for roots()."""
+    if roots is not None:
+        f.__dict__["_exact_roots"] = tuple(roots)
+    return f
+
+
+def _known(f: Polynomial):
+    """f's record of its exact finite roots, or None."""
+    return f.__dict__.get("_exact_roots")
+
+
+def _lowered(f: Polynomial) -> Polynomial:
+    """The degree-drop member f one ambient lower, with the roots f knows or has certified."""
+    low = _carry(Polynomial(f.coeffs[: f.ambient], f.ambient - 1), _known(f))
+    if "_certified_roots" in f.__dict__:
+        low.__dict__["_certified_roots"] = RootTuple(f.roots().finite)
+    return low
 
 
 def _newton_polish(coeffs_f, dcoeffs_f, x):
@@ -637,9 +676,7 @@ def pencil_project(l: Pencil) -> Pencil:
     f = gen.monic()
     # f and f_l are monic, so the degree-n term cancels exactly, floats included
     reduced = poly_add(f.coeffs, poly_scale(poly_mul((0, 1), f_l.coeffs), -1))
-    first = Polynomial(reduced[:n], n - 1)
-    second = Polynomial(f_l.coeffs[:n], n - 1)
-    return Pencil(first, second)
+    return Pencil(Polynomial(reduced[:n], n - 1), _lowered(f_l))
 
 
 def member_with_root(l: Pencil, r) -> Polynomial:
@@ -674,16 +711,17 @@ def gaps_exceed(f: Polynomial, d) -> bool:
     """Whether every gap between the roots of the member f exceeds d > 0.
 
     It does exactly when shift_pencil(f, d) exists, certified on exact f and
-    d.  A degree-drop f is tested one ambient lower, with the roots it has
-    already certified; below two roots no gap.
+    d; an f that carries its exact roots is decided from them.  A degree-drop
+    f is tested one ambient lower, with the roots it has already certified;
+    below two roots no gap.
     """
     if f.degree < 2:
         return True
+    known = _known(f)
+    if known is not None and is_exact(d) and d > 0:
+        return all(b - a > d for a, b in zip(known, known[1:]))
     if f.degree < f.ambient:
-        low = Polynomial(f.coeffs[: f.ambient], f.degree)
-        if "_certified_roots" in f.__dict__:
-            low.__dict__["_certified_roots"] = RootTuple(f.roots().finite)
-        f = low
+        f = _lowered(f)
     try:
         shift_pencil(f, d)
     except SepTooSmall:
@@ -773,8 +811,11 @@ def shift_pencil(f: Polynomial, m) -> Pencil:
         raise SepTooSmall("shift must be positive")
     exact = all_exact(f.coeffs) and is_exact(m)
     if exact or m < sep(f):
+        known = _known(f) if exact else None
+        shifted = _carry(Polynomial(poly_shift_arg(f.coeffs, m), f.ambient),
+                         None if known is None else [r - m for r in known])
         try:
-            return Pencil(f, Polynomial(poly_shift_arg(f.coeffs, m), f.ambient))
+            return Pencil(f, shifted)
         except DegenerateInput:
             if not exact:
                 raise
@@ -795,10 +836,12 @@ def stabilizing_shift(f: Polynomial, g: Polynomial, d) -> float:
     if not sep_exceeds(base_line, d):
         raise SepTooSmall(f"d={d} not below sep of the base line {sep_pencil(base_line)}")
     n = f.ambient
-    f_up = Polynomial(f.coeffs + (0,), n + 1)
-    npow = 1 if all_exact(f.coeffs + g.coeffs) and is_exact(d) else 1.0
+    f_up = _carry(Polynomial(f.coeffs + (0,), n + 1), _known(f))
+    exact = all_exact(f.coeffs + g.coeffs) and is_exact(d)
+    npow, known_g = (1, _known(g)) if exact else (1.0, None)
     for _ in range(SHIFT_BUDGET):
-        shifted = Polynomial(poly_mul((npow, 1), g.coeffs), n + 1)
+        shifted = _carry(Polynomial(poly_mul((npow, 1), g.coeffs), n + 1),
+                         None if known_g is None else sorted(known_g + (Fraction(-npow),)))
         try:
             line = Pencil(f_up, shifted)
         except DegenerateInput:

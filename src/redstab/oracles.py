@@ -11,7 +11,8 @@ the kernel-sign scan only evaluates charges on a corner family with
 sign-change bisection; the pointwise support check evaluates Q(gamma(t)) at
 every grid point and pairs member by member with the scalar loop, extracting
 roots on every call; the congruence inertia diagonalizes over Fractions
-instead of reading the characteristic polynomial.
+instead of reading the characteristic polynomial, and decides in_WQ's
+definiteness on Ker Z with it.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from .charge import ReducedCharge, eval_charge, gamma, reduced_charge
 from .errors import ComplexRoots, NotDistinctRoots
-from .exact import all_exact, bareiss_det, is_negative_definite
+from .exact import all_exact, bareiss_det, is_negative_definite, nullspace
 from .interlace import PLUS_INFINITY, RootTuple, pencil_canonical
 from .poly import poly_derivative, poly_mul, sturm_count_real, trim
 from .quadform import SupportReport, kernel_of_line
@@ -282,6 +283,14 @@ def inertia_congruence(gram):
                 for r in range(n):
                     m[r][i] -= f * m[r][p]
     return (pos, neg, n - pos - neg)
+
+
+def negative_on_kernel(Z, Q) -> bool:
+    """in_WQ by its definition, on exact input: Ker Z has dimension rho - 2 and
+    Q is negative definite on it (congruence inertia of the restricted Gram)."""
+    kernel = nullspace([list(Z.imag.weights), list(Z.real.weights)])
+    gram = [[Q.pair(u, v) for v in kernel] for u in kernel]
+    return len(kernel) == Q.dim - 2 and inertia_congruence(gram) == (0, len(kernel), 0)
 
 
 # ---------------------------------------------------------------------------

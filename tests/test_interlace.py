@@ -723,11 +723,116 @@ class TestRootsCertifiedOnce:
         assert len(seen) == len(set(seen)) == 3
 
     def test_exact_stabilizing_shift(self, monkeypatch):
+        # built from their roots, f, g and every member stabilizing_shift
+        # builds from them carry their roots: nothing is extracted
         f = roots_to_poly(RT(F(0), F(2), F(5)))
         g = roots_to_poly(RT(F(1), F(4), F(6)))
         seen = self._extractions(monkeypatch)
         assert stabilizing_shift(f, g, F(1, 2)) >= 1
+        assert seen == []
+        # rebuilt from their coefficients, each polynomial is extracted once
+        assert stabilizing_shift(Polynomial(f.coeffs, 3), Polynomial(g.coeffs, 3), F(1, 2)) >= 1
         assert len(seen) == len(set(seen)) >= 5
+
+
+def _outcome(fn):
+    """A call's result by repr and entry types, or the type of what it raised."""
+    try:
+        out = fn()
+    except Exception as exc:   # the exception type is the outcome compared
+        return type(exc)
+    entries = out.entries if isinstance(out, RootTuple) else out
+    types = tuple(map(type, entries)) if isinstance(entries, tuple) else type(entries)
+    return repr(out), types
+
+
+def _rebuilt(f):
+    """f from its coefficients alone, without the roots it carries."""
+    return Polynomial(f.coeffs, f.ambient)
+
+
+def _carried_corpus(seed, count):
+    """Exact root tuples: n = 1..8, int entries, +inf last, magnitudes 10^+-30,
+    tiny negative roots, and close pairs that round to one float or not."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, kind = rng.randint(1, 8), rng.randrange(5)
+        if kind == 0:
+            xs = {F(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(n)}
+        elif kind == 1:
+            scale = F(10) ** rng.choice((-30, 30))
+            xs = {F(rng.randint(-10 ** 6, 10 ** 6), 10 ** 6) * scale for _ in range(n)}
+        elif kind == 2:
+            xs = {-F(1, 10 ** rng.randint(320, 400))}
+            xs |= {F(rng.randint(1, 60), 7) for _ in range(n - 1)}
+        elif kind == 3:
+            base = F(rng.randint(-20, 20), 7)
+            xs = {base, base + F(1, 2 ** rng.randint(40, 70))}
+            xs |= {F(rng.randint(-60, 60), 3) for _ in range(n - 2)}
+        else:
+            xs = {rng.randint(-40, 40) for _ in range(n)}
+        xs = sorted(xs)
+        if rng.random() < 0.3:
+            xs.append(PLUS_INFINITY)
+        out.append(RootTuple(tuple(xs)))
+    return out
+
+
+class TestCarriedRoots:
+    """Roots read from a polynomial's exact roots equal those certified from its coefficients."""
+
+    def test_equal_to_extraction(self):
+        corpus = _carried_corpus(26, 1000)
+        # a root beyond the float range: rational at degree 2, overflow above
+        corpus += [RT(F(-1), F(2 ** 1024 + 1)), RT(F(-1), F(0), F(2 ** 1024 + 1)),
+                   RT(F(0), F(2 ** 1024 + 1), PLUS_INFINITY)]
+        kinds = set()
+        for t in corpus:
+            f = roots_to_poly(t)
+            assert f.__dict__["_exact_roots"] == t.finite
+            want = _outcome(lambda: interlace._extract_roots(_rebuilt(f)))
+            assert _outcome(f.roots) == want, t
+            kinds.add(want if isinstance(want, type) else want[1][:1])
+        assert {NotDistinctRoots, OverflowError, (F,), (float,)} <= kinds
+
+    def test_tiny_negative_root_is_positive_zero(self):
+        f = roots_to_poly(RT(-F(1, 10 ** 400), F(1), F(2)))
+        assert repr(f.roots().entries) == "(0.0, 1.0, 2.0)"
+        assert repr(interlace._extract_roots(_rebuilt(f)).entries) == "(0.0, 1.0, 2.0)"
+
+    def test_float_input_carries_nothing(self):
+        assert "_exact_roots" not in roots_to_poly(RT(0.0, 1.0, 3.0)).__dict__
+
+    def test_decisions_equal_rebuilt_inputs(self):
+        rng = random.Random(2610)
+        checks = (lambda p, q, d, m: is_interlaced(p, q),
+                  lambda p, q, d, m: gaps_exceed(p, d),
+                  lambda p, q, d, m: sep_exceeds(Pencil(p, q), d),
+                  lambda p, q, d, m: _generators(shift_pencil(p, m)),
+                  lambda p, q, d, m: stabilizing_shift(p, q, d / 2))
+        cases = 0
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            s, t = _interlaced_roots(rng, n)
+            if rng.random() < 0.25:
+                t = RT(*t.entries[:-1], PLUS_INFINITY)
+            f, g = roots_to_poly(s), roots_to_poly(t)
+            c = F(rng.randint(-8, 8), 4)
+            h = roots_to_poly(RT(*(x + c for x in s)))
+            d = (s.sep() if n > 1 else F(1)) * F(rng.randint(1, 12), 10)
+            m = (s.sep() if n > 1 else F(1)) * F(rng.randint(1, 12), 10)
+            for p, q in ((f, g), (g, f), (f, h)):
+                for check in checks:
+                    want = _outcome(lambda: check(_rebuilt(p), _rebuilt(q), d, m))
+                    assert _outcome(lambda: check(p, q, d, m)) == want
+                    cases += 1
+        assert cases >= 500
+
+
+def _generators(line):
+    """A line's generators by coefficients and certified roots."""
+    return tuple((p.coeffs, p.roots()) for p in (line.gen_a, line.gen_b))
 
 
 @given(st.data())

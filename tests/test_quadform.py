@@ -10,7 +10,6 @@ from redstab import quadform
 from redstab.errors import (
     AssumptionViolated,
     ComplexRoots,
-    InvariantViolated,
     NotDistinctRoots,
     SingularForm,
     WrongSignature,
@@ -24,6 +23,7 @@ from redstab.exact import (
     nullspace,
 )
 from redstab.interlace import PLUS_INFINITY, Pencil, Polynomial, RootTuple, roots_to_poly
+from redstab.oracles import negative_on_kernel
 from redstab.quadform import (
     QuadraticForm,
     deform_form,
@@ -597,14 +597,18 @@ class TestInWQ:
         with pytest.raises(WrongSignature):
             in_WQ(Z, neg)
 
-    def test_disagreeing_cross_check_raises(self, monkeypatch):
-        # on exact input the dual criterion is cross-checked against kernel
-        # definiteness; a disagreement is a typed error, also under python -O
-        monkeypatch.setattr(quadform, "is_negative_definite",
-                            lambda gram: not is_negative_definite(gram))
-        Z = CentralCharge(reduced_charge(RT(F(1), F(3))), reduced_charge(RT(F(0), F(2))))
-        with pytest.raises(InvariantViolated):
-            in_WQ(Z, DELTA2)
+    def test_dual_criterion_matches_kernel_oracle(self):
+        # the dual criterion against Q's definiteness on Ker Z, decided by the
+        # congruence inertia of the restricted Gram
+        verdicts = []
+        for Z, Q in _in_wq_corpus(2611, 300):
+            if Q.inertia() != (2, Q.dim - 2, 0):
+                with pytest.raises(WrongSignature):
+                    in_WQ(Z, Q)
+                continue
+            verdicts.append(in_WQ(Z, Q))
+            assert verdicts[-1] == negative_on_kernel(Z, Q)
+        assert 50 < sum(verdicts) < len(verdicts) - 50
 
     def test_matches_tilde_form_route(self):
         line = Pencil.from_tuples(RT(F(0), F(2), F(4)), RT(F(1), F(3), F(5)))
@@ -632,6 +636,29 @@ class TestInWQ:
                 verdicts.append(in_WQ(Z, Q))
                 assert in_WQ(Zf, Qf) == verdicts[-1]
         assert set(verdicts) == {False, True}
+
+
+def _in_wq_corpus(seed, count):
+    """(Z, Q) pairs at rho = 2..5: Q = P^T D P with D of signature (2, rho - 2)
+    and P a random integer matrix (a singular P gives a wrong signature); Z the
+    charges of random interlaced tuples or random weights, so that both
+    verdicts occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rho = rng.randint(2, 5)
+        diag = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(rho)]
+        diag = diag[:2] + [-x for x in diag[2:]]
+        p = [[rng.randint(-3, 3) for _ in range(rho)] for _ in range(rho)]
+        gram = [[sum(p[k][i] * diag[k] * p[k][j] for k in range(rho)) for j in range(rho)]
+                for i in range(rho)]
+        if rng.random() < 0.5:
+            xs = sorted(rng.sample(range(-30, 30), 2 * (rho - 1)))
+            real, imag = reduced_charge(RT(*xs[0::2])), reduced_charge(RT(*xs[1::2]))
+            real = real.scaled(F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5)))
+        else:
+            real, imag = (ReducedCharge(tuple(F(rng.randint(-9, 9), rng.randint(1, 4))
+                                              for _ in range(rho))) for _ in range(2))
+        yield CentralCharge(real, imag), QuadraticForm(tuple(map(tuple, gram)))
 
 
 def _model_form(rho, big_d):
