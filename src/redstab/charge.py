@@ -49,7 +49,8 @@ def gamma(t, n: int) -> tuple:
     """Twisted vector (1, t, t^2/2!, ..., t^n/n!); (0,...,0,1) at +inf."""
     if t == PLUS_INFINITY:
         return (0,) * n + (1,)
-    (t,) = coerce((t,))
+    if type(t) is not float and type(t) is not Fraction:
+        (t,) = coerce((t,))
     return tuple(t ** k / math.factorial(k) for k in range(n + 1))
 
 

@@ -27,10 +27,10 @@ once.  The determinant that dispatches on exactness serves the oracles alone
 and lives in redstab.oracles.
 
 ``integer_scaled`` writes a group of numbers as integers over one common
-denominator.  Exact sums of products (eliminated rows, exact pairings,
-kernel restrictions, exact root certification, the kernels of redstab.poly)
-run on those integers and form one Fraction at the end, instead of
-normalizing a Fraction at every step.
+denominator.  Exact sums of products (eliminated rows, matrix products,
+exact pairings, kernel restrictions, exact root certification, the kernels
+of redstab.poly) run on those integers and form one Fraction at the end,
+instead of normalizing a Fraction at every step.
 """
 
 from fractions import Fraction
@@ -250,7 +250,18 @@ def inv(rows):
 
 
 def mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    """The matrix product a b.
+
+    Exact matrices multiply on integers, each over one common denominator
+    (integer_scaled), with one Fraction per entry; float input keeps its sums.
+    """
+    if not all(all_exact(row) for m in (a, b) for row in m):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    q, r = len(b), len(b[0]) if b else 0
+    (ai, da), (bi, db) = (integer_scaled(x for row in m for x in row) for m in (a, b))
+    cols = [bi[j::r] for j in range(r)]
+    return [[Fraction(sum(x * y for x, y in zip(ai[i * q:(i + 1) * q], col)), da * db)
+             for col in cols] for i in range(len(a))]
 
 
 def is_negative_definite(gram):

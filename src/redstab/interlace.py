@@ -191,10 +191,9 @@ class Polynomial:
     def _certified_roots(self) -> RootTuple:
         known = _known(self)
         if known is not None and len(known) > 2:
-            try:    # correctly rounded, as _rounded_roots certifies them
-                known = tuple(float(r) + 0.0 for r in known)
-            except OverflowError:
-                known = None
+            # correctly rounded, as _rounded_roots certifies them; a root beyond
+            # the float range raises at once the OverflowError extraction ends in
+            known = tuple(float(r) + 0.0 for r in known)
         if known is not None and all(a < b for a, b in zip(known, known[1:])):
             return _pad_inf(known, self.ambient)
         return _extract_roots(self)
@@ -206,7 +205,8 @@ class Polynomial:
         shift_pencil's f(x + m), stabilizing_shift's padded f and (x + N) g)
         reads them from that record: rational up to degree 2, correctly
         rounded floats above, exactly what _extract_roots certifies; it
-        extracts when those floats are not strictly increasing or overflow.
+        extracts when those floats are not strictly increasing, and raises
+        extraction's OverflowError at once when one overflows.
         """
         return self._certified_roots
 
@@ -257,7 +257,7 @@ def _lowered(f: Polynomial) -> Polynomial:
     """The degree-drop member f one ambient lower, with the roots f knows or has certified."""
     low = _carry(Polynomial(f.coeffs[: f.ambient], f.ambient - 1), _known(f))
     if "_certified_roots" in f.__dict__:
-        low.__dict__["_certified_roots"] = RootTuple(f.roots().finite)
+        low.__dict__["_certified_roots"] = RootTuple(f.__dict__["_certified_roots"].finite)
     return low
 
 
@@ -649,18 +649,24 @@ class Pencil:
 
 
 def pencil_canonical(l: Pencil) -> Polynomial:
-    """The unique monic degree-(n-1) member of the line."""
-    n = l.ambient
-    a_lead, b_lead = l.gen_a.coeffs[n], l.gen_b.coeffs[n]
-    if a_lead == 0:
-        member = l.gen_a
-    elif b_lead == 0:
-        member = l.gen_b
-    else:
-        member = l.member(b_lead, -a_lead)
-    if member.coeffs[n] != 0 or member.coeffs[n - 1] == 0:
-        raise DegenerateInput("no degree n-1 member; degenerate line")
-    return member.monic()
+    """The unique monic degree-(n-1) member of the line.
+
+    Built once per Pencil object and kept on it, so later callers share its roots.
+    """
+    memo = vars(l)
+    if "_canonical" not in memo:
+        n = l.ambient
+        a_lead, b_lead = l.gen_a.coeffs[n], l.gen_b.coeffs[n]
+        if a_lead == 0:
+            member = l.gen_a
+        elif b_lead == 0:
+            member = l.gen_b
+        else:
+            member = l.member(b_lead, -a_lead)
+        if member.coeffs[n] != 0 or member.coeffs[n - 1] == 0:
+            raise DegenerateInput("no degree n-1 member; degenerate line")
+        memo["_canonical"] = member.monic()
+    return memo["_canonical"]
 
 
 def pencil_project(l: Pencil) -> Pencil:
@@ -672,6 +678,7 @@ def pencil_project(l: Pencil) -> Pencil:
     if n < 2:
         raise InvalidAmbient("projection needs ambient >= 2")
     f_l = pencil_canonical(l)
+    f_l.is_member()     # certifies its roots once, at ambient n, for _lowered to pass on
     gen = l.gen_a if l.gen_a.coeffs[n] != 0 else l.gen_b
     f = gen.monic()
     # f and f_l are monic, so the degree-n term cancels exactly, floats included

@@ -19,9 +19,13 @@ doubling ladder computes the parts of the line form and of the embedded
 lower form once per level, and each rung alpha decides alpha * line + lower
 from them (one exact definiteness test and a few array operations); only
 the passing form is built.  verify_support runs the same routine on the
-parts of its single form.  Exact pairings, kernel restrictions and
-vanishing coefficients sum on integers over one common denominator
-(exact.integer_scaled).
+parts of its single form.  Each form makes an integer image of its Gram
+(rows over one common denominator, exact.integer_scaled) and a float one
+once, on first use: exact pairings, kernel restrictions and vanishing
+coefficients sum on the first, float pairings read the second.  The last
+two stay integers over one denominator, so a rung combines and tests them
+on integers; Fractions are formed only for failure records and the
+passing form.
 
 Vanishing of an exact form on the twisted curve is proved on the whole
 curve, +inf included, by the coefficient identity: Q(gamma(t)) is the
@@ -37,6 +41,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +82,10 @@ SUPPORT_MARGIN = 1e-8
 class QuadraticForm:
     """Symmetric bilinear form on the ambient-n lattice.
 
-    The Gram entries are coerced as one group (exact.coerce).
+    The Gram entries are coerced as one group (exact.coerce).  Its integer
+    image (``_integer_gram``) and float image (``_float_rows``, each row's
+    nonzero entries) are made on first use and kept on the instance, as
+    Polynomial keeps its roots, outside equality and repr.
     """
 
     gram: tuple
@@ -107,6 +115,18 @@ class QuadraticForm:
     def __call__(self, v):
         return self.pair(v, v)
 
+    @cached_property
+    def _integer_gram(self):
+        """(rows, den): the Gram rows as integers over one common denominator."""
+        ints, den = integer_scaled(x for row in self.gram for x in row)
+        dim = self.dim
+        return [ints[i * dim:(i + 1) * dim] for i in range(dim)], den
+
+    @cached_property
+    def _float_rows(self):
+        return tuple(tuple((j, float(g)) for j, g in enumerate(row) if g != 0)
+                     for row in self.gram)
+
     def pair(self, u, v):
         """Bilinear polarization P(u, v) = u^T gram v."""
         if len(u) != self.dim or len(v) != self.dim:
@@ -122,15 +142,12 @@ class QuadraticForm:
         """
         total = 0.0
         abssum = 0.0
-        for i in range(self.dim):
+        for i, row in enumerate(self._float_rows):
             ui = float(u[i])
             if ui == 0.0:
                 continue
-            for j in range(self.dim):
-                g = self.gram[i][j]
-                if g == 0:
-                    continue
-                term = ui * float(g) * float(v[j])
+            for j, g in row:
+                term = ui * g * float(v[j])
                 total += term
                 abssum += abs(term)
         return total, abssum
@@ -138,16 +155,17 @@ class QuadraticForm:
     def pair_exact(self, u, v):
         """Pairing with every input promoted to an exact rational.
 
-        u, v and the Gram matrix are each scaled to integers over one
-        common denominator (exact.integer_scaled), so the sum runs on ints
-        and one Fraction is formed at the end.
+        u and v are each scaled to integers over one common denominator
+        (exact.integer_scaled) and paired with the form's integer Gram,
+        scaled once per form, so the sum runs on ints and one Fraction is
+        formed at the end.  A rung of q_tilde's ladder falls back to the
+        pairings of its two forms, alpha * P_line(u, v) + P_lower(u, v).
         """
         ui, du = integer_scaled(u)
         vi, dv = integer_scaled(v)
-        gi, dg = integer_scaled(x for row in self.gram for x in row)
-        dim = self.dim
-        total = sum(ui[i] * sum(g * y for g, y in zip(gi[i * dim:(i + 1) * dim], vi))
-                    for i in range(dim) if ui[i])
+        grows, dg = self._integer_gram
+        total = sum(x * sum(g * y for g, y in zip(row, vi))
+                    for x, row in zip(ui, grows) if x)
         return Fraction(total, du * dv * dg)
 
     def is_exact(self) -> bool:
@@ -235,26 +253,33 @@ def kernel_of_line(l: Pencil):
 
 
 def _restricted_gram(Q: QuadraticForm, basis):
-    """Gram matrix [[Q.pair(u, v)]] of Q on the span of an exact basis.
+    """(rows, den): the Gram matrix [[Q.pair(u, v)]] of Q on the span of an exact basis.
 
     Kernel bases from ``nullspace`` are mostly zeros, so zero terms are
-    skipped.  An exact form and each basis vector are scaled to integers
-    once (exact.integer_scaled) and every entry is one Fraction; a float
-    form keeps its float sums.
+    skipped.  For an exact form the rows are integers over den: the basis is
+    scaled to integers as one group (exact.integer_scaled) and paired with
+    the form's integer Gram.  A float form keeps its float sums, and den is
+    None.
     """
     if not Q.is_exact():
         images = [[sum((g * x for g, x in zip(row, v) if g and x), Fraction(0))
                    for row in Q.gram] for v in basis]
         return [[sum((x * y for x, y in zip(u, w) if x and y), Fraction(0))
-                 for w in images] for u in basis]
-    gi, dg = integer_scaled(x for row in Q.gram for x in row)
+                 for w in images] for u in basis], None
+    grows, dg = Q._integer_gram
+    ints, db = integer_scaled(x for v in basis for x in v)
     dim = Q.dim
-    grows = [gi[i * dim:(i + 1) * dim] for i in range(dim)]
-    scaled = [integer_scaled(v) for v in basis]
-    images = [([sum(g * x for g, x in zip(row, vi) if g and x) for row in grows], dg * dv)
-              for vi, dv in scaled]
-    return [[Fraction(sum(x * y for x, y in zip(ui, wi) if x and y), du * dw)
-             for wi, dw in images] for ui, du in scaled]
+    scaled = [ints[k:k + dim] for k in range(0, len(ints), dim)]
+    images = [[sum(g * x for g, x in zip(row, v) if g and x) for row in grows] for v in scaled]
+    return [[sum(x * y for x, y in zip(u, w) if x and y) for w in images]
+            for u in scaled], dg * db * db
+
+
+def _weighted(alpha, dx, dy):
+    """(a, b, den) with alpha x / dx + y / dy = (a x + b y) / den, for rational alpha > 0."""
+    den = math.lcm(dx, dy)
+    return (alpha.numerator * (den // dx), alpha.denominator * (den // dy),
+            alpha.denominator * den)
 
 
 @dataclass
@@ -364,9 +389,10 @@ def verify_support(Q: QuadraticForm, l: Pencil, samples: int = 50,
 class _FormParts:
     """What the support check reads of one form on one line's data.
 
-    ``coeffs`` are the vanishing coefficients c_0, ..., c_2n of an exact form;
-    a float form has None there and is kept in ``form`` for its grid check.
-    ``restricted`` is the form's Gram matrix on the line's kernel; ``total``
+    ``coeffs`` is (ints, den), the vanishing coefficients c_0, ..., c_2n of
+    an exact form as integers over den; a float form has None there and is
+    kept in ``form`` for its grid check.  ``restricted`` is (rows, den), the
+    form's Gram matrix on the line's kernel (_restricted_gram); ``total``
     and ``abssum`` are the float member pairings and their absolute-term
     sums, of shape (members, n, n); ``drop`` holds (value, absolute-term sum)
     of each degree-drop gamma against gamma(+inf).  ``exact_pair(key, u, v)``
@@ -375,17 +401,18 @@ class _FormParts:
     """
 
     form: QuadraticForm | None
-    coeffs: list | None
-    restricted: list
+    coeffs: tuple | None
+    restricted: tuple
     total: np.ndarray
     abssum: np.ndarray
     drop: list
     exact_pair: Callable
 
     def combined(self, alpha, other: "_FormParts") -> "_FormParts":
-        """The parts of alpha * (this form) + (other form); both exact, alpha > 0.
+        """The parts of alpha * (this form) + (other form); both exact, alpha > 0 rational.
 
-        The exact parts combine exactly.  The float pairings become
+        The exact parts combine on integers over one denominator (_weighted);
+        no Fraction is formed.  The float pairings become
         alpha * T + T' with absolute-term sum alpha * A + A', which bounds the
         combined form's own sum; the rounding of alpha * T + T' stays near
         1e-15 of that bound, far inside the cut max(margin, 1e-9), so a
@@ -395,11 +422,14 @@ class _FormParts:
         exact pairings.
         """
         fa = float(alpha)
+        (c1, e1), (c2, e2) = self.coeffs, other.coeffs
+        a, b, e = _weighted(alpha, e1, e2)
+        (r1, d1), (r2, d2) = self.restricted, other.restricted
+        ra, rb, d = _weighted(alpha, d1, d2)
         return _FormParts(
             None,
-            [alpha * a + b if a else b for a, b in zip(self.coeffs, other.coeffs)],
-            [[alpha * a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.restricted, other.restricted)],
+            ([a * x + b * y for x, y in zip(c1, c2)], e),
+            ([[ra * x + rb * y for x, y in zip(s1, s2)] for s1, s2 in zip(r1, r2)], d),
             fa * self.total + other.total,
             fa * self.abssum + other.abssum,
             [(fa * v1 + v2, fa * s1 + s2) for (v1, s1), (v2, s2) in zip(self.drop, other.drop)],
@@ -438,9 +468,11 @@ def _check_support(parts: _FormParts, data: _LineData, margin, vanish_tol=1e-8, 
         max_resid, failures = _float_vanishing_failures(parts.form, n, grid, vanish_tol)
     ok_a = not failures
 
-    ok_b = is_negative_definite(parts.restricted)
+    rows, den = parts.restricted
+    ok_b = is_negative_definite(rows)
     if not ok_b:
-        failures.append(("kernel", parts.restricted))
+        failures.append(("kernel", rows if den is None
+                         else [[Fraction(x, den) for x in row] for row in rows]))
     if first and failures:
         return SupportReport(ok_a, ok_b, False, max_resid, failures)
 
@@ -468,24 +500,26 @@ def _grid_points(grid):
 def _vanishing_coeffs(Q):
     """Coefficients c_m = sum over i+j=m of G_ij / (i! j!) of t -> Q(gamma(t)), Q exact.
 
-    The Gram matrix is scaled to integers (exact.integer_scaled) and every
-    term brought over (n!)^2, so each coefficient is one Fraction.
+    Every term of the form's integer Gram is brought over (n!)^2, so the
+    coefficients come as (ints, den): integers over one denominator.
     """
     n = Q.ambient
     fact = [math.factorial(k) for k in range(n + 1)]
     top = fact[n] * fact[n]
-    gi, dg = integer_scaled(x for row in Q.gram for x in row)
+    grows, dg = Q._integer_gram
     sums = [0] * (2 * n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if g := gi[i * (n + 1) + j]:
+    for i, row in enumerate(grows):
+        for j, g in enumerate(row):
+            if g:
                 sums[i + j] += g * (top // (fact[i] * fact[j]))
-    return [Fraction(c, dg * top) for c in sums]
+    return sums, dg * top
 
 
 def _exact_vanishing_failures(coeffs, n, grid):
-    if not any(coeffs):
+    ints, den = coeffs
+    if not any(ints):
         return []
+    coeffs = [Fraction(c, den) for c in ints]
     failures = [("vanishing", t, val) for t in _grid_points(grid)
                 if (val := poly_eval(coeffs, t)) != 0]
     val = coeffs[-1] * math.factorial(n) ** 2    # G_nn, the value at +inf
@@ -519,12 +553,10 @@ def _member_pairings(Q, stack):
     m = stack.shape[1]
     total = np.zeros((len(stack), m, m))
     abssum = np.zeros((len(stack), m, m))
-    for i, row in enumerate(Q.gram):
+    for i, row in enumerate(Q._float_rows):
         left = stack[:, :, i]
-        for j, g in enumerate(row):
-            if g == 0:
-                continue
-            term = (left * float(g))[:, :, None] * stack[:, None, :, j]
+        for j, g in row:
+            term = (left * g)[:, :, None] * stack[:, None, :, j]
             total += term
             abssum += np.abs(term)
     return total, abssum
@@ -580,9 +612,10 @@ def q_tilde(l: Pencil, samples: int = 50) -> QuadraticForm:
     data (kernel, member roots, degree-drop member) is computed once per
     level.  Every input of the check is linear in alpha, so on an exact line
     the parts of the line form and of the embedded lower form are computed
-    once per level and each rung combines them (_FormParts.combined); only
-    the passing form is built.  Failure to find a weight below the cap
-    raises AlphaSearchFailed with the last candidate's own report.
+    once per level and each rung combines them on integers
+    (_FormParts.combined); only the passing form is built.  Failure to find
+    a weight below the cap raises AlphaSearchFailed with the last
+    candidate's own report.
     """
     n = l.ambient
     if n == 1:
@@ -592,15 +625,21 @@ def q_tilde(l: Pencil, samples: int = 50) -> QuadraticForm:
     line_form = q_line(l, proj)
     data = _line_data(l, samples)
 
-    def candidate(alpha):
-        return line_form.scaled(alpha).plus(lower)
-
     if line_form.is_exact() and lower.is_exact():
         line_parts, lower_parts = _form_parts(line_form, data), _form_parts(lower, data)
+        (r1, d1), (r2, d2) = line_form._integer_gram, lower._integer_gram
 
         def rung(alpha):
             return line_parts.combined(alpha, lower_parts)
+
+        def candidate(alpha):
+            a, b, d = _weighted(alpha, d1, d2)
+            return QuadraticForm(tuple(tuple(Fraction(a * x + b * y, d) for x, y in zip(s1, s2))
+                                       for s1, s2 in zip(r1, r2)))
     else:   # a float line: each candidate's float Gram is rounded on its own
+        def candidate(alpha):
+            return line_form.scaled(alpha).plus(lower)
+
         def rung(alpha):
             return _form_parts(candidate(alpha), data)
 

@@ -14,6 +14,7 @@ from redstab.exact import (
     inertia,
     inv,
     is_negative_definite,
+    mat_mul,
     nullspace,
     particular_solution,
     rref,
@@ -390,3 +391,36 @@ class TestExactSqrt:
 
     def test_negative(self):
         assert exact_sqrt(F(-1)) is None
+
+
+class TestMatMul:
+    @staticmethod
+    def _matrix(rng, rows, cols):
+        """Rational entries, some 0 or 10^+-30, and now and then a row of zeros."""
+        def entry():
+            kind = rng.randrange(6)
+            if kind == 0:
+                return F(0)
+            if kind == 1:
+                return F(rng.randint(-9, 9), rng.randint(1, 9)) * F(10) ** rng.choice((-30, 30))
+            return F(rng.randint(-50, 50), rng.randint(1, 24))
+        return [[F(0)] * cols if rng.random() < 0.1 else [entry() for _ in range(cols)]
+                for _ in range(rows)]
+
+    def test_equals_fraction_product(self):
+        rng = random.Random(27)
+        shapes = set()
+        for _ in range(600):
+            p, q, r = (rng.randint(1, 6) for _ in range(3))
+            a, b = self._matrix(rng, p, q), self._matrix(rng, q, r)
+            got = mat_mul(a, [tuple(row) for row in b])
+            want = [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)]
+                    for row in a]
+            assert got == want and repr(got) == repr(want)
+            shapes.add(p == q == r)
+        assert shapes == {False, True}
+
+    def test_float_input_keeps_its_sums(self):
+        a, b = [[0.1, F(1, 3)], [2, 0.0]], [[0.2], [F(3)]]
+        want = [[0.1 * 0.2 + F(1, 3) * F(3)], [2 * 0.2 + 0.0 * F(3)]]
+        assert repr(mat_mul(a, b)) == repr(want)

@@ -27,6 +27,19 @@ def test_q_tilde_alpha_and_gram():
     assert make.render([make.entry(e["s"], e["t"]) for e in lines]) == stored
 
 
+def test_support_reports():
+    make = _script("make_support_reports")
+    stored = make.PATH.read_text()
+    lines = json.loads(stored)["lines"]
+    assert len(lines) == 2 * len(make.AMBIENTS) * make.PER_AMBIENT >= 400
+    assert [(e["s"], e["t"]) for e in lines] == make.draw_lines()
+    # every failure kind of verify_support occurs somewhere in the corpus
+    reports = " ".join(r for e in lines for r in e.get("reports", ()))
+    for kind in ("vanishing", "kernel", "pairing", "pairing-inf"):
+        assert f"('{kind}', " in reports
+    assert make.render([make.entry(e["s"], e["t"]) for e in lines]) == stored
+
+
 _CLI = _script("make_cli")
 
 

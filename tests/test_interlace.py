@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -786,7 +787,9 @@ class TestCarriedRoots:
         corpus = _carried_corpus(26, 1000)
         # a root beyond the float range: rational at degree 2, overflow above
         corpus += [RT(F(-1), F(2 ** 1024 + 1)), RT(F(-1), F(0), F(2 ** 1024 + 1)),
-                   RT(F(0), F(2 ** 1024 + 1), PLUS_INFINITY)]
+                   RT(F(0), F(2 ** 1024 + 1), PLUS_INFINITY),
+                   RT(F(-3), F(1, 7), F(10) ** 310), RT(F(-2), F(0), F(5, 3), F(2) ** 1100),
+                   RT(-F(2) ** 1030, F(-1), F(1, 2), F(3))]
         kinds = set()
         for t in corpus:
             f = roots_to_poly(t)
@@ -795,6 +798,23 @@ class TestCarriedRoots:
             assert _outcome(f.roots) == want, t
             kinds.add(want if isinstance(want, type) else want[1][:1])
         assert {NotDistinctRoots, OverflowError, (F,), (float,)} <= kinds
+
+    def test_root_beyond_the_float_range_raises_at_once(self):
+        # extraction bisects from the Cauchy bound and ends in the error that
+        # float() of the carried root raises at once
+        for t in (RT(F(-1), F(0), F(2 ** 1024 + 1)), RT(-F(10) ** 400, F(1), F(2))):
+            f = roots_to_poly(t)
+            with pytest.raises(OverflowError) as want:
+                interlace._extract_roots(_rebuilt(f))
+            with pytest.raises(OverflowError) as got:
+                f.roots()
+            assert repr(got.value) == repr(want.value)
+        f = roots_to_poly(RT(F(-6), F(-14, 3), F(7, 3), F(8, 3), F(5), F(6), F(28, 3),
+                             F(10) ** 400))
+        start = time.process_time()
+        with pytest.raises(OverflowError, match="integer division result too large for a float"):
+            f.roots()
+        assert time.process_time() - start < 0.5
 
     def test_tiny_negative_root_is_positive_zero(self):
         f = roots_to_poly(RT(-F(1, 10 ** 400), F(1), F(2)))

@@ -1,12 +1,15 @@
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from redstab.charge import CentralCharge, ReducedCharge, eval_charge, gamma, reduced_charge
-from redstab import quadform
+from redstab import interlace, quadform
 from redstab.errors import (
     AssumptionViolated,
     ComplexRoots,
@@ -371,6 +374,46 @@ class TestProjectionOncePerLevel:
         assert q_line(line, pencil_project(line)) == q_line(line)
 
 
+class TestSupportCountsOnce:
+    """Each certified member and each exact form's integer Gram is computed once."""
+
+    def test_roots_and_gram_images_once(self, monkeypatch):
+        # on the golden lines, one q_tilde and verify_support extract no
+        # polynomial twice (at any ambient) and scale no exact form's Gram twice
+        golden = Path(__file__).resolve().parent / "golden" / "q_tilde.json"
+        lines = json.loads(golden.read_text())["lines"]
+        extracted, scaled, built = [], Counter(), Counter()
+        extract, scale, post_init = (interlace._extract_roots, quadform.integer_scaled,
+                                     QuadraticForm.__post_init__)
+
+        def counting_extract(f):
+            extracted.append(f.coeffs[: f.degree + 1])
+            return extract(f)
+
+        def counting_scale(values):
+            values = tuple(values)
+            if values in built:     # the flattened Gram of an exact form
+                scaled[values] += 1
+            return scale(values)
+
+        def counting_init(Q):
+            post_init(Q)
+            if Q.is_exact():
+                built[tuple(x for row in Q.gram for x in row)] += 1
+
+        monkeypatch.setattr(interlace, "_extract_roots", counting_extract)
+        monkeypatch.setattr(quadform, "integer_scaled", counting_scale)
+        monkeypatch.setattr(QuadraticForm, "__post_init__", counting_init)
+        for e in lines:
+            extracted.clear()
+            scaled.clear()
+            built.clear()
+            line = Pencil.from_tuples(RT(*map(F, e["s"])), RT(*map(F, e["t"])))
+            assert verify_support(q_tilde(line), line).ok
+            assert extracted and len(extracted) == len(set(extracted))
+            assert scaled and all(k <= built[g] for g, k in scaled.items())
+
+
 class TestLineGram:
     @staticmethod
     def _reference(l):
@@ -528,7 +571,9 @@ class TestExactPairing:
             for basis in (nullspace(rows, Q.dim),
                           [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(Q.dim)]
                            for _ in range(3)]):
-                got = quadform._restricted_gram(Q, basis)
+                rows, den = quadform._restricted_gram(Q, basis)
+                assert all(type(x) is int for row in rows for x in row)
+                got = [[F(x, den) for x in row] for row in rows]
                 want = [[Q.pair(u, v) for v in basis] for u in basis]
                 assert got == want and str(got) == str(want)
 
@@ -825,7 +870,7 @@ class TestDeformForm:
                 P = QuadraticForm(tuple(tuple(Q.gram[i][j] + lam * w[i] * w[j] for j in range(rho))
                                         for i in range(rho)))
                 kernel_ok = is_negative_definite(
-                    quadform._restricted_gram(P, nullspace([list(h), list(f1)])))
+                    quadform._restricted_gram(P, nullspace([list(h), list(f1)]))[0])
                 signature_ok = P.inertia() == (2, rho - 2, 0)
                 verdicts.add((kernel_ok, signature_ok))
                 if kernel_ok and signature_ok:
