@@ -4,7 +4,17 @@ Interlaced real-rooted pencils, central charges (Vandermonde determinants,
 computed from root-polynomial coefficients), support-property quadratic
 forms, Bogomolov-type discriminants, wall loci, and hypersurface-restriction
 maps on parameter tuples.
+
+Imported before numpy, redstab loads OpenBLAS with one thread: its matrices
+are at most 9 x 9, and an idle BLAS worker spins ~0.1 s of CPU at start-up.
+For more, set OPENBLAS_NUM_THREADS before the import, or import numpy first.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:  # a loaded OpenBLAS no longer reads it
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .charge import (
     ALL_NONNEG,

@@ -366,7 +366,8 @@ def _isolated_roots(ints) -> tuple:
     """The exact verdict on f, and its roots isolated by Sturm bisection and rounded.
 
     NotDistinctRoots when gcd(f, f') is not constant or two distinct roots
-    round to one float, ComplexRoots when the Sturm count is below the degree.
+    round to one float, ComplexRoots when the Sturm count is below the degree,
+    OverflowError when a root has no float.
     """
     chain = sturm_chain(ints)
     if len(chain[-1]) > 1:
@@ -377,6 +378,12 @@ def _isolated_roots(ints) -> tuple:
     va, vb = sign_variations(chain, -bound), sign_variations(chain, bound)
     if va - vb < len(ints) - 1:
         raise ComplexRoots("fewer distinct real roots than the degree (Sturm count)")
+    # from top = 2^1024 - 2^970 on, int division overflows a float, so a root
+    # outside (-top, top) would end the bisection in that error: raise it at once
+    top = (1 << 1024) - (1 << 970)
+    if bound > top and (sign_variations(chain, -top) - sign_variations(chain, top)
+                        - (scaled_value(ints, top, 1) == 0) < len(ints) - 1):
+        raise OverflowError("integer division result too large for a float")
     out, todo = [], [(-bound, bound, 0, va, vb)]
     while todo:     # depth first, left half first: the roots come out increasing
         a, b, e, va, vb = todo.pop()

@@ -3,16 +3,20 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from redstab.charge import gamma
 from redstab.cli import build_parser, main, run_capture
+from redstab.interlace import RootTuple, roots_to_poly
 
 
 def run_json(argv):
@@ -316,16 +320,93 @@ class TestColdImports:
         ["charge", "eval", "--roots", '["0","2"]', "--v", '["0","0","1"]'],
     ))
     def test_verbs_leave_selftest_and_oracles_unloaded(self, argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(_ROOT / "src")] + [x for x in (env.get("PYTHONPATH"),) if x])
-        proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER, *argv], env=_child_env(None),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout.splitlines()[-1]))
         assert not {"redstab.selftest", "redstab.oracles"} & loaded
         # the benchmark's span tracer and import timer need these loaded
         assert {"numpy"} | _span_target_modules() <= loaded
+
+
+def _child_env(blas_threads):
+    """This environment with src on PYTHONPATH and OPENBLAS_NUM_THREADS set to
+    blas_threads (unset for None)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_ROOT / "src")] + [x for x in (env.get("PYTHONPATH"),) if x])
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def _thread_argvs(seed):
+    """Float and exact queries for each verb that reaches numpy's BLAS, n = 2..8."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(2, 9):
+        xs = sorted({Fraction(rng.randint(-90, 90), rng.randint(1, 6)) for _ in range(3 * n)})
+        s, t = xs[0:2 * n:2], xs[1:2 * n:2]
+        f, g = (roots_to_poly(RootTuple(tuple(r))).coeffs for r in (s, t))
+        df = tuple(k * c for k, c in enumerate(f))[1:] + (0,)
+        # a wall through the integer tuple t0: v and w vanish on its twisted vectors
+        t0 = sorted(rng.sample(range(-3 * n, 3 * n), n))
+        gs = [gamma(Fraction(x), n) for x in t0]
+        a, b = Fraction(rng.randint(1, 8), 4), Fraction(rng.randint(1, 8), 4)
+        v = [x - a * y for x, y in zip(gs[0], gs[1])]
+        w = [x + b * y for x, y in zip(gs[1], gs[-1])]
+        box = json.dumps([[x - 1, x + 1] for x in t0])
+        for enc in (lambda xs: json.dumps([str(x) for x in xs]),
+                    lambda xs: json.dumps([float(x) for x in xs])):
+            out += [["interlace", "check", "--f", enc(f), "--g", enc(g)],
+                    ["interlace", "sep-pencil", "--f", enc(f), "--g", enc(df)],
+                    ["quadform", "build", "--s", enc(s), "--t", enc(t)],
+                    ["walls", "numerical", "--v", enc(v), "--w", enc(w), "--box", box,
+                     "--samples", "64"]]
+    return out
+
+
+_RUN_ALL = """import json, sys
+from redstab.cli import main
+for argv in json.load(sys.stdin):
+    print(main(argv))
+"""
+
+_THREADS = """
+import os
+status = open("/proc/self/status").read()
+print(status.split("Threads:")[1].split()[0], os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+class TestBlasThreads:
+    """redstab loads OpenBLAS with one thread unless told otherwise, and prints the same bytes."""
+
+    def test_outputs_equal_across_thread_counts(self):
+        argvs = _thread_argvs(29)
+        outs = [subprocess.run([sys.executable, "-c", _RUN_ALL], input=json.dumps(argvs).encode(),
+                               env=_child_env(threads), capture_output=True, timeout=300)
+                for threads in ("1", "2")]
+        assert outs[0].returncode == 0, outs[0].stderr
+        assert outs[0].stdout.count(b"\n0\n") == len(argvs)     # every call exits 0
+        assert outs[0].stdout == outs[1].stdout
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                        reason="reads /proc/self/status; needs two cores")
+    @pytest.mark.parametrize("imports, preset, threads, value", (
+        ("import redstab.cli", None, "1", "1"),
+        ("import redstab.cli", "2", "2", "2"),
+        # numpy loaded first: the environment is left alone, whatever runs
+        ("import numpy; import redstab", None, None, "None"),
+    ))
+    def test_default_keeps_a_preset_and_a_loaded_numpy(self, imports, preset, threads, value):
+        proc = subprocess.run([sys.executable, "-c", imports + _THREADS], env=_child_env(preset),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got_threads, got_value = proc.stdout.split()
+        assert got_value == value
+        assert threads is None or got_threads == threads
 
 
 # ---------------------------------------------------------------------------

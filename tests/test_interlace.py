@@ -816,6 +816,29 @@ class TestCarriedRoots:
             f.roots()
         assert time.process_time() - start < 0.5
 
+    def test_root_without_a_float_raises_before_bisection(self):
+        # int division overflows from top on; bisecting to such a root from the
+        # Cauchy bound took 0.02-0.3 s of CPU per member before it raised
+        top = 2 ** 1024 - 2 ** 970
+        start = time.process_time()
+        for t in (RT(F(-2), F(0), F(5, 3), F(2) ** 1100), RT(F(-1), F(0), F(2 ** 1024 + 1)),
+                  RT(F(-1), F(0), F(top)), RT(F(-top), F(0), F(1)),
+                  RT(F(-1), F(0), top + F(1, 2)), RT(F(0), F(top - 1), F(top))):
+            with pytest.raises(OverflowError) as got:
+                interlace._extract_roots(_rebuilt(roots_to_poly(t)))
+            assert repr(got.value) == "OverflowError('integer division result too large for a float')"
+        assert time.process_time() - start < 0.05
+
+    def test_root_just_inside_the_float_range_rounds_to_the_largest_float(self):
+        big = F(2 ** 1024 - 2 ** 971)
+        for t, want in ((RT(F(-1), F(0), big), "(-1.0, 0.0, 1.7976931348623157e+308)"),
+                        (RT(-big, F(0), F(1)), "(-1.7976931348623157e+308, 0.0, 1.0)"),
+                        (RT(F(-1), F(0), big + F(1, 2)), "(-1.0, 0.0, 1.7976931348623157e+308)")):
+            start = time.process_time()
+            got = interlace._extract_roots(_rebuilt(roots_to_poly(t)))
+            assert time.process_time() - start < 0.5
+            assert repr(got.entries) == want
+
     def test_tiny_negative_root_is_positive_zero(self):
         f = roots_to_poly(RT(-F(1, 10 ** 400), F(1), F(2)))
         assert repr(f.roots().entries) == "(0.0, 1.0, 2.0)"
